@@ -16,16 +16,13 @@ import sys
 import numpy as np
 
 from . import io
-from .baselines import entropy_select, forget_select, herding_select, random_select
-from .core import METHODS, REPRESENTATION_KINDS, SelectionResult, subset_accuracy
-from .cutstats import CutstatsConfig, cutstats_scores, select_smallest
+from .core import METHODS, REPRESENTATION_KINDS, subset_accuracy
+from .cutstats import CutstatsConfig
 from .datagen import GROUPS, NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
 from .experiment import (ABLATION_KINDS, ExperimentConfig, StageError,
-                         run_ablation, run_bounds, run_experiment)
-from .knn import build_neighbor_table
-from .mlp import (MlpConfig, entropy_scores, evaluate, forgetting_counts,
-                  load_classifier, save_classifier, train_mlp)
-from .representation import compute_representation, load_external_representation
+                         run_ablation, run_bounds, run_experiment, select)
+from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
+from .representation import compute_representation
 from .theory import (WINDOW_MODES, WindowParams, check_corollary,
                      check_sorted_density, validate_prop1_monte_carlo)
 
@@ -110,6 +107,17 @@ def _float_list(value, what):
         raise UsageError(f"bad {what} {value!r}") from exc
 
 
+def _cutstats_config(v) -> CutstatsConfig:
+    return _cfg(CutstatsConfig, k=int(v["k"] or 20), tau=float(v["tau"] or 0.4),
+                priors=_priors(v["priors"]))
+
+
+def _mlp_config(v, **kw) -> MlpConfig:
+    return _cfg(MlpConfig, hidden_units=int(v["hidden"] or 32),
+                epochs=int(v["epochs"] or 20), batch_size=int(v["batch_size"] or 1024),
+                learning_rate=float(v["lr"] or 1e-2), **kw)
+
+
 def _write_guard(path, write_fn):
     """Remove a half-written file if emission fails."""
     try:
@@ -191,47 +199,14 @@ def _cmd_select(args) -> int:
                        "batch_size", "lr", "out_scores", "out_subset"])
     if v["infile"] is None:
         raise UsageError("--in is required")
-    method = v["method"] or "cutstats"
-    if method not in METHODS:
-        raise UsageError(f"unknown method {method!r}")
-    kind = v["kind"] or "l2norm"
-    if kind not in REPRESENTATION_KINDS:
-        raise UsageError(f"unknown representation kind {kind!r}")
-    if kind == "external" and v["embedding"] is None:
-        raise UsageError("external representation requires an embedding path")
-    cut = _cfg(CutstatsConfig, k=int(v["k"] or 20), tau=float(v["tau"] or 0.4),
-               priors=_priors(v["priors"]))
     seed = int(v["seed"] or 0)
+    config = _cfg(ExperimentConfig, train_path=v["infile"],
+                  representation_kind=v["kind"] or "l2norm", embedding_path=v["embedding"],
+                  method=v["method"] or "cutstats", cutstats=_cutstats_config(v),
+                  mlp=_mlp_config(v), seeds=(seed,))
     dataset = io.read_dataset_csv(
         v["infile"], num_classes=int(v["num_classes"]) if v["num_classes"] else None)
-
-    if method == "full":
-        sel = SelectionResult(scores=np.zeros(dataset.n), selected=dataset.ids.copy(),
-                              method="full", representation_kind=kind, tau=1.0)
-    elif method == "random":
-        sel = random_select(dataset, cut.tau, seed=seed)
-    elif method in ("entropy", "forget"):
-        mlp_cfg = _cfg(MlpConfig, hidden_units=int(v["hidden"] or 32),
-                       epochs=int(v["epochs"] or 20), batch_size=int(v["batch_size"] or 1024),
-                       learning_rate=float(v["lr"] or 1e-2),
-                       num_classes=dataset.num_classes, seed=seed)
-        model = train_mlp(dataset, mlp_cfg)
-        if method == "entropy":
-            sel = entropy_select(dataset, entropy_scores(model, dataset), cut.tau)
-        else:
-            sel = forget_select(dataset, forgetting_counts(model.trace), cut.tau)
-    else:
-        if kind == "external":
-            rep = load_external_representation(dataset, v["embedding"])
-        else:
-            rep = compute_representation(dataset, kind)
-        if method == "herding":
-            sel = herding_select(rep, cut.tau)
-        else:
-            table = build_neighbor_table(rep, cut.k)
-            scores = cutstats_scores(rep, table, cut)
-            sel = select_smallest(scores, cut.tau, dataset.ids,
-                                  representation_kind=kind, k=cut.k)
+    sel, _ = select(config, seed, dataset)
 
     if v["out_scores"]:
         _write_guard(v["out_scores"], lambda p: io.write_selection_csv(sel, dataset.ids, p))
@@ -253,11 +228,8 @@ def _cmd_train(args) -> int:
         v["infile"], num_classes=int(v["num_classes"]) if v["num_classes"] else None)
     if v["subset"]:
         dataset = dataset.restrict(io.read_subset(v["subset"]))
-    cfg = _cfg(MlpConfig, hidden_units=int(v["hidden"] or 32),
-               epochs=int(v["epochs"] or 20), batch_size=int(v["batch_size"] or 1024),
-               learning_rate=float(v["lr"] or 1e-2),
-               num_classes=dataset.num_classes, seed=int(v["seed"] or 0))
-    model = train_mlp(dataset, cfg)
+    model = train_mlp(dataset, _mlp_config(v, num_classes=dataset.num_classes,
+                                           seed=int(v["seed"] or 0)))
     _write_guard(v["out_model"], lambda p: save_classifier(model, p))
     return 0
 
@@ -299,11 +271,8 @@ def _experiment_config(args) -> ExperimentConfig:
                                         if v["feature_range"] is not None else None))
     noise = _cfg(NoiseSpec, flip_probability=float(v["p"] if v["p"] is not None else 0.45),
                  num_classes=int(v["num_classes"] or 2))
-    cut = _cfg(CutstatsConfig, k=int(v["k"] or 20), tau=float(v["tau"] or 0.4),
-               priors=_priors(v["priors"]))
-    mlp = _cfg(MlpConfig, hidden_units=int(v["hidden"] or 32),
-               epochs=int(v["epochs"] or 20), batch_size=int(v["batch_size"] or 1024),
-               learning_rate=float(v["lr"] or 1e-2), num_classes=int(v["num_classes"] or 2))
+    cut = _cutstats_config(v)
+    mlp = _mlp_config(v, num_classes=int(v["num_classes"] or 2))
     return _cfg(ExperimentConfig,
                 synthetic=synthetic,
                 train_path=v["train"], test_path=v["test"],

@@ -43,6 +43,8 @@ class LabeledDataset:
         n = feats.shape[0]
         if feats.ndim != 2 or n < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a nonempty n x d matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ValueError("non-finite feature value")
         if noisy.shape != (n,) or ids.shape != (n,):
             raise ValueError("label/id lengths must match the feature row count")
         if self.true_labels is not None and self.true_labels.shape != (n,):

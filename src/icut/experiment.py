@@ -90,8 +90,11 @@ def _obtain_data(config: ExperimentConfig, seed: int):
     return train, test
 
 
-def _select(config: ExperimentConfig, seed: int, noisy: LabeledDataset):
-    """Run the configured selector; returns (selection, realized_error)."""
+def select(config: ExperimentConfig, seed: int, noisy: LabeledDataset):
+    """Run the configured selector on ``noisy``; returns (selection, realized_error).
+
+    The single selector dispatch: ``run_seed`` and ``icut select`` both call it.
+    """
     tau = config.cutstats.tau
     realized = None
     if config.method == "full":
@@ -132,7 +135,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
                         replace(config.noise, seed=seed))
     else:
         noisy = train
-    selection, realized = _select(config, seed, noisy)
+    selection, realized = select(config, seed, noisy)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     if noisy.true_labels is not None:
         metrics = metrics.with_values(

@@ -1,77 +1,50 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two quadratic kernels: exact k-nearest neighbors and greedy herding.
 
-The two genuinely quadratic loops in the package live here: exact
-brute-force neighbor search and the greedy herding scan.  Both are
-compiled with ``numba.njit`` when numba is importable; setting
-``ICUT_NO_NUMBA=1`` (or any of ``true/yes``) forces the vectorized
-numpy implementations instead.  Neighbor search additionally routes
-wide inputs to numpy on its own, since BLAS beats the scalar loop once
-rows stop being skinny.  ``ICUT_THREADS`` caps the numba thread count.
-Both paths produce the same tables on non-degenerate inputs; each path
-is individually deterministic and independent of the thread count
-(parallelism is over disjoint output rows only).
-
-``benchmarks/bench_kernels.py`` times one path against the other.
+Both are plain numpy with one implementation each, so every caller and
+every test runs the same code.  Neighbor search finds candidates with
+the gram trick on column-centered rows, then ranks them by exact squared
+distances computed from the input rows.  Herding scans every candidate
+once per pick.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-NUMBA_ENABLED = False
-if not _flag("ICUT_NO_NUMBA"):
-    try:
-        import numba
-        from numba import njit, prange
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    _threads = os.environ.get("ICUT_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS)))
-        except (ValueError, RuntimeError):
-            pass
-
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors, exact brute force.
 #
-# Output contract (shared by both paths): for each row i, the k nearest
-# other rows by squared euclidean distance, ordered by (distance, rank),
-# where ``rank`` is the caller's tie-break ordering (ascending sample id).
-# Returned distances are exact squared distances of the selected pairs.
+# Output contract: for each row i, the k nearest other rows by squared
+# euclidean distance, ordered by (distance, rank), where ``rank`` is the
+# caller's tie-break ordering (ascending sample id).  Returned distances
+# are exact squared distances of the selected pairs.
 # ---------------------------------------------------------------------------
 
 
-def _neighbor_table_numpy(X: np.ndarray, rank: np.ndarray, k: int):
-    n = X.shape[0]
+def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
+    """k smallest (squared distance, rank) pairs per row, self excluded."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    rank = np.ascontiguousarray(rank, dtype=np.int64)
+    n, m = X.shape
     pos = np.empty((n, k), dtype=np.int64)
     d2 = np.empty((n, k), dtype=np.float64)
-    sq = np.einsum("ij,ij->i", X, X)
+    # Distances do not change under translation, but the gram trick's
+    # rounding error grows with the squared norms, so candidates come from
+    # centered rows.  A gram entry is off by at most a few (m + 2) eps
+    # (|x_i|^2 + |x_j|^2); twice that bound as the margin on each row's cut
+    # keeps every true member among the candidates.
+    C = X - X.mean(axis=0)
+    sq = np.einsum("ij,ij->i", C, C)
+    margin = 8.0 * (m + 2) * np.finfo(np.float64).eps * (sq + sq.max())
     block = max(1, min(n, int(2**24 // max(n, 1)) or 1))
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
-        # Gram trick for candidate generation; exact recompute below.
-        D = sq[b0:b1, None] + sq[None, :] - 2.0 * (X[b0:b1] @ X.T)
+        D = sq[b0:b1, None] + sq[None, :] - 2.0 * (C[b0:b1] @ C.T)
         D[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
-        cuts = np.partition(D, k - 1, axis=1)[:, k - 1]
+        cuts = np.partition(D, k - 1, axis=1)[:, k - 1] + margin[b0:b1]
         for r in range(b1 - b0):
             i = b0 + r
-            row = D[r]
-            # Margin absorbs gram-trick rounding so no true member is lost.
-            cut = cuts[r]
-            cand = np.flatnonzero(row <= cut + 1e-9 * (1.0 + abs(cut)))
+            cand = np.flatnonzero(D[r] <= cuts[r])
             diff = X[cand] - X[i]
             exact = np.einsum("ij,ij->i", diff, diff)
             order = np.lexsort((rank[cand], exact))[:k]
@@ -80,67 +53,23 @@ def _neighbor_table_numpy(X: np.ndarray, rank: np.ndarray, k: int):
     return pos, d2
 
 
-if NUMBA_ENABLED:
-
-    @njit(cache=True, parallel=True)
-    def _neighbor_table_numba(X, rank, k):  # pragma: no cover - exercised via wrapper
-        n, m = X.shape
-        pos = np.empty((n, k), dtype=np.int64)
-        d2 = np.empty((n, k), dtype=np.float64)
-        for i in prange(n):
-            best_d = np.full(k, np.inf)
-            best_r = np.full(k, np.int64(2**62), dtype=np.int64)
-            best_j = np.full(k, -1, dtype=np.int64)
-            for j in range(n):
-                if j == i:
-                    continue
-                dist = 0.0
-                for c in range(m):
-                    t = X[i, c] - X[j, c]
-                    dist += t * t
-                rj = rank[j]
-                w = k - 1
-                if dist > best_d[w] or (dist == best_d[w] and rj > best_r[w]):
-                    continue
-                # insertion into the sorted top-k, (distance, rank) ascending
-                while w > 0 and (dist < best_d[w - 1] or (dist == best_d[w - 1] and rj < best_r[w - 1])):
-                    best_d[w] = best_d[w - 1]
-                    best_r[w] = best_r[w - 1]
-                    best_j[w] = best_j[w - 1]
-                    w -= 1
-                best_d[w] = dist
-                best_r[w] = rj
-                best_j[w] = j
-            pos[i] = best_j
-            d2[i] = best_d
-        return pos, d2
-
-
-# The compiled scalar loop beats the BLAS gram trick only on skinny
-# matrices; by d ~ 50 BLAS throughput wins by a widening margin (see
-# benchmarks/bench_kernels.py), so wide inputs take the numpy path even
-# when numba is available.
-_NUMBA_MAX_COLS = 16
-
-
-def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
-    """k smallest (squared distance, rank) pairs per row, self excluded."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    rank = np.ascontiguousarray(rank, dtype=np.int64)
-    if NUMBA_ENABLED and X.shape[1] <= _NUMBA_MAX_COLS:
-        return _neighbor_table_numba(X, rank, k)
-    return _neighbor_table_numpy(X, rank, k)
-
-
 # ---------------------------------------------------------------------------
 # Greedy herding: repeatedly add the candidate minimizing the distance
 # between the running selected mean and the target mean.  Minimizing
 # ||(S + x_j)/(t+1) - mu|| over j is minimizing ||x_j + (S - (t+1) mu)||,
-# so each step is one scan with the shifted center.
+# i.e. |x_j|^2 + 2 x_j.c with the shifted center c, so each step is one
+# matrix-vector product.
 # ---------------------------------------------------------------------------
 
 
-def _herding_numpy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
+def herding_greedy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
+    """Indices of ``count`` greedily herded rows of X toward mean ``mu``.
+
+    Rows must be pre-sorted in tie-break order (ascending id); ties in the
+    greedy objective go to the earliest row.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    mu = np.ascontiguousarray(mu, dtype=np.float64)
     n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
     taken = np.zeros(n, dtype=bool)
@@ -155,44 +84,3 @@ def _herding_numpy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
         taken[j] = True
         S += X[j]
     return out
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _herding_numba(X, mu, count):  # pragma: no cover - exercised via wrapper
-        n, m = X.shape
-        taken = np.zeros(n, dtype=np.bool_)
-        out = np.empty(count, dtype=np.int64)
-        S = np.zeros(m)
-        for t in range(count):
-            best = np.inf
-            best_j = -1
-            for j in range(n):
-                if taken[j]:
-                    continue
-                s = 0.0
-                for c in range(m):
-                    v = X[j, c] + (S[c] - (t + 1) * mu[c])
-                    s += v * v
-                if s < best:
-                    best = s
-                    best_j = j
-            out[t] = best_j
-            taken[best_j] = True
-            for c in range(m):
-                S[c] += X[best_j, c]
-        return out
-
-
-def herding_greedy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
-    """Indices of ``count`` greedily herded rows of X toward mean ``mu``.
-
-    Rows must be pre-sorted in tie-break order (ascending id); ties in the
-    greedy objective go to the earliest row.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    mu = np.ascontiguousarray(mu, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _herding_numba(X, mu, count)
-    return _herding_numpy(X, mu, count)

@@ -59,6 +59,29 @@ def oracle_neighbors(reps, ids, k):
     return rows, dists
 
 
+def oracle_herding(X, mu, count):
+    """Plain-loop greedy herding: each step adds the untaken row that brings
+    the running mean of the picked rows closest to ``mu``; ties go to the
+    earliest row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    mu = np.asarray(mu, dtype=np.float64)
+    picked = []
+    total = np.zeros(X.shape[1])
+    for t in range(count):
+        best, best_j = math.inf, -1
+        for j in range(X.shape[0]):
+            if j in picked:
+                continue
+            gap = (total + X[j]) / (t + 1) - mu
+            dist = float(gap @ gap)
+            if dist < best:
+                best, best_j = dist, j
+        picked.append(best_j)
+        total += X[best_j]
+    return np.asarray(picked, dtype=np.int64)
+
+
 def oracle_zscores(reps, ids, labels, k, priors):
     """Straight-line transcription of the z-score formulas.
 

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from icut import round_half_up
+from icut import CutstatsConfig, MlpConfig, round_half_up
 from icut.cli import main
+from icut.core import METHODS
+from icut.experiment import ExperimentConfig, select
 from icut.io import (read_csv, read_dataset_csv, read_embedding_csv,
-                     read_selection_csv, read_subset)
+                     read_selection_csv, read_subset, write_embedding_csv)
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,39 @@ def test_select_cutstats_writes_scores_and_subset(capsys, workdir, tmp_path):
     subset = read_subset(subset_path)
     assert subset.size == round_half_up(0.5 * 80)
     assert set(subset) <= set(ids)
+
+
+@pytest.mark.parametrize("method,kind", [(m, "l2norm") for m in METHODS]
+                         + [("cutstats", "external"), ("herding", "external")])
+def test_select_cli_matches_library_selector(capsys, workdir, tmp_path, method, kind):
+    noisy = workdir / "noisy.csv"
+    embedding = tmp_path / "emb.csv"
+    dataset = read_dataset_csv(noisy)
+    write_embedding_csv(dataset.ids, dataset.features[:, :3] ** 2, embedding)
+    scores_path = tmp_path / "scores.csv"
+    subset_path = tmp_path / "subset.txt"
+    code, _, _ = run_cli(capsys, "select", "--in", str(noisy), "--method", method,
+                         "--kind", kind, "--embedding", str(embedding),
+                         "--k", "5", "--tau", "0.5", "--seed", "3", "--epochs", "2",
+                         "--batch-size", "32", "--out-scores", str(scores_path),
+                         "--out-subset", str(subset_path))
+    assert code == 0
+    config = ExperimentConfig(train_path=str(noisy), method=method,
+                              representation_kind=kind, embedding_path=str(embedding),
+                              cutstats=CutstatsConfig(k=5, tau=0.5),
+                              mlp=MlpConfig(epochs=2, batch_size=32), seeds=(3,))
+    expected, _ = select(config, 3, dataset)
+    ids, scores = read_selection_csv(scores_path)
+    assert np.array_equal(ids, dataset.ids)
+    assert np.array_equal(scores, expected.scores)
+    assert np.array_equal(read_subset(subset_path), expected.selected)
+
+
+def test_select_runtime_errors_carry_the_stage(capsys, workdir):
+    code, _, err = run_cli(capsys, "select", "--in", str(workdir / "noisy.csv"),
+                           "--k", "500")
+    assert code == 1
+    assert err.startswith("error: [select] k must satisfy")
 
 
 def test_select_external_requires_embedding(capsys, workdir):
@@ -212,6 +247,19 @@ def test_exp_missing_train_file_is_a_stage_error(capsys, tmp_path):
                            "--epochs", "2", "--seed-list", "0")
     assert code == 1
     assert err.startswith("error: [load]")
+
+
+def test_exp_nonfinite_train_file_is_a_load_error(capsys, workdir, tmp_path):
+    lines = (workdir / "noisy.csv").read_text().splitlines()
+    parts = lines[1].split(",")
+    parts[3] = "nan"
+    lines[1] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "exp", "--train", str(bad), "--epochs", "2",
+                           "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: [load] non-finite")
 
 
 def test_bounds_prints_window_and_writes_csv(capsys, tmp_path):

@@ -63,6 +63,15 @@ def test_dataset_rejects_too_few_classes():
                        num_classes=1, ids=np.arange(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_nonfinite_features(bad):
+    feats = np.zeros((3, 2))
+    feats[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        LabeledDataset(features=feats, noisy_labels=np.zeros(3, dtype=int),
+                       num_classes=2, ids=np.arange(3))
+
+
 def test_restrict_preserves_requested_order():
     ds = random_dataset(10, 2, seed=3, shuffle_ids=True)
     want = ds.ids[[7, 2, 5]]

@@ -49,6 +49,13 @@ def test_dataset_num_classes_is_inferred_from_labels(tmp_path):
     assert read_dataset_csv(path, num_classes=6).num_classes == 6
 
 
+def test_dataset_rejects_nonfinite_feature(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("id,y,yhat,f0,f1\n0,0,0,0.5,1.0\n1,1,1,nan,2.0\n")
+    with pytest.raises(ValueError, match="non-finite feature value"):
+        read_dataset_csv(path)
+
+
 def test_dataset_rejects_foreign_header(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("x,y\n1,2\n")

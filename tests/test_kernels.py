@@ -1,16 +1,10 @@
-"""Compiled fast path vs numpy fallback: same tables, same picks."""
-
-import os
-import subprocess
-import sys
+"""The exact kernels against plain-scan oracles: same tables, same picks."""
 
 import numpy as np
 import pytest
 
+from conftest import oracle_herding, oracle_neighbors
 from icut import kernels
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                 reason="numba path disabled")
 
 
 def _case(n, d, seed, with_duplicates=False):
@@ -23,35 +17,31 @@ def _case(n, d, seed, with_duplicates=False):
     return X, rank
 
 
-@needs_numba
-@pytest.mark.parametrize("d", [1, 3, 16, 40])
-def test_both_paths_agree(d):
-    X, rank = _case(300, d, seed=d, with_duplicates=True)
-    pos_a, d2_a = kernels._neighbor_table_numba(X, rank, 10)
-    pos_b, d2_b = kernels._neighbor_table_numpy(X, rank, 10)
-    assert np.array_equal(pos_a, pos_b)
-    assert np.allclose(d2_a, d2_b, atol=1e-12)
-
-
-@needs_numba
-def test_wide_inputs_route_to_numpy_with_identical_output():
-    X, rank = _case(200, kernels._NUMBA_MAX_COLS + 1, seed=9)
-    via_public = kernels.neighbor_table(X, rank, 7)
-    via_numpy = kernels._neighbor_table_numpy(X, rank, 7)
-    assert np.array_equal(via_public[0], via_numpy[0])
-    assert np.array_equal(via_public[1], via_numpy[1])
-
-
 def test_neighbor_table_matches_full_sort():
-    X, rank = _case(80, 4, seed=2)
-    pos, d2 = kernels.neighbor_table(X, rank, 6)
-    diffs = X[:, None, :] - X[None, :, :]
-    full = np.einsum("ijk,ijk->ij", diffs, diffs)
-    np.fill_diagonal(full, np.inf)
-    for i in range(80):
-        order = np.lexsort((rank, full[i]))[:6]
-        assert np.array_equal(pos[i], order)
-        assert np.allclose(d2[i], full[i][order], atol=1e-12)
+    # narrow and wide inputs, with duplicated rows so distance ties occur
+    for d in (1, 3, 16, 40):
+        X, rank = _case(300, d, seed=d, with_duplicates=True)
+        pos, d2 = kernels.neighbor_table(X, rank, 10)
+        diffs = X[:, None, :] - X[None, :, :]
+        full = np.einsum("ijk,ijk->ij", diffs, diffs)
+        np.fill_diagonal(full, np.inf)
+        for i in range(300):
+            order = np.lexsort((rank, full[i]))[:10]
+            assert np.array_equal(pos[i], order)
+            assert np.allclose(d2[i], full[i][order], atol=1e-12)
+        # the duplicated rows are each other's nearest neighbor at distance 0
+        assert pos[0, 0] == 150 and pos[150, 0] == 0 and d2[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
+def test_neighbor_table_is_exact_under_translation_and_scale(offset, scale):
+    X, rank = _case(400, 20, seed=7)
+    X = X * scale + offset
+    pos, d2 = kernels.neighbor_table(X, rank, 10)
+    rows, dists = oracle_neighbors(X, rank, 10)
+    assert np.array_equal(pos, rows)
+    assert np.allclose(np.sqrt(d2), dists, rtol=1e-12, atol=0.0)
 
 
 def test_neighbor_table_breaks_distance_ties_by_rank():
@@ -63,14 +53,12 @@ def test_neighbor_table_breaks_distance_ties_by_rank():
     assert d2[0, 0] == d2[0, 1] == 1.0
 
 
-@needs_numba
-def test_herding_paths_agree():
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(200, 4))
+@pytest.mark.parametrize("seed,d", [(4, 4), (8, 1), (12, 16)])
+def test_herding_matches_plain_loop_oracle(seed, d):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(200, d))
     mu = X.mean(axis=0)
-    a = kernels._herding_numba(X, mu, 50)
-    b = kernels._herding_numpy(X, mu, 50)
-    assert np.array_equal(a, b)
+    assert np.array_equal(kernels.herding_greedy(X, mu, 50), oracle_herding(X, mu, 50))
 
 
 def test_herding_first_pick_is_nearest_to_target():
@@ -90,11 +78,3 @@ def test_herding_pulls_running_mean_toward_target():
     random_gap = np.linalg.norm(X[:30].mean(axis=0) - mu)
     herded_gap = np.linalg.norm(X[picks].mean(axis=0) - mu)
     assert herded_gap <= random_gap
-
-
-def test_env_flag_disables_numba():
-    code = "import icut.kernels as k; print(k.NUMBA_ENABLED)"
-    env = {**os.environ, "ICUT_NO_NUMBA": "1"}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
