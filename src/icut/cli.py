@@ -2,29 +2,31 @@
 
 Subcommands: gen, corrupt, represent, select, train, eval, exp, bounds,
 ablate, validate-theory.  Every flag mirrors a key in an optional JSON
-config (``--config file.json``); explicit flags override file values.
-Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
+config (``--config file.json``) named by the flag's dest (``--n-train`` is
+``n_train``); explicit flags override file values, and a config value is
+checked and converted as the same flag would be.  A value set in neither
+place takes the default of the library config it feeds (``SyntheticSpec``,
+``NoiseSpec``, ``CutstatsConfig``, ``MlpConfig``, ``ExperimentConfig``,
+``WindowParams``).  Exit codes: 0 success, 1 runtime failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-import numpy as np
+from dataclasses import replace
 
 from . import io
 from .core import METHODS, REPRESENTATION_KINDS, subset_accuracy
 from .cutstats import CutstatsConfig
 from .datagen import GROUPS, NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
-from .experiment import (ABLATION_KINDS, ExperimentConfig, StageError,
+from .experiment import (ABLATION_KINDS, ExperimentConfig, StageError, _staged,
                          run_ablation, run_bounds, run_experiment, select)
 from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
 from .representation import compute_representation
-from .theory import (WINDOW_MODES, WindowParams, check_corollary,
-                     check_sorted_density, validate_prop1_monte_carlo)
+from .theory import WINDOW_MODES, WindowParams, theory_checks
 
 
 class UsageError(ValueError):
@@ -41,176 +43,132 @@ def _cfg(fn, *args, **kw):
         raise UsageError(str(exc)) from exc
 
 
-def _merged(args, keys):
-    """Flag values override JSON config values; unset keys come out None."""
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as f:
-                cfg = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad config file: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise UsageError("config file must hold a JSON object")
-    out = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        out[k] = v if v is not None else cfg.get(k)
-    return out
-
-
-def _seed_list(value) -> tuple:
-    if value is None:
-        return (0, 1, 2)
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(v) for v in str(value).split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad seed list {value!r}") from exc
-
-
-def _priors(value):
-    if value is None or value == "empirical":
-        return "empirical"
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    try:
-        return tuple(float(v) for v in str(value).split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad priors {value!r}") from exc
-
-
-def _int_list(value, what):
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value)
-    try:
-        if ":" in text:
+def _list_of(kind):
+    """Parser of comma-separated ``kind`` values; int lists also take ``LO:HI`` inclusive."""
+    def parse(text):
+        if kind is int and ":" in text:
             lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} {value!r}") from exc
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(kind(v) for v in text.split(","))
+    parse.__name__ = f"{kind.__name__} list"    # argparse names the type in its errors
+    return parse
 
 
-def _float_list(value, what):
-    if value is None:
-        return []
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
+def _priors(text):
+    return text if text == "empirical" else _list_of(float)(text)
+
+
+def _config_values(verb_parser, path) -> dict:
+    """The JSON config at ``path``, by dest, checked as ``verb_parser`` checks its flags."""
     try:
-        return [float(v) for v in str(value).split(",")]
-    except ValueError as exc:
-        raise UsageError(f"bad {what} {value!r}") from exc
+        with open(path) as f:
+            cfg = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"bad config file: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError("config file must hold a JSON object")
+    actions = {a.dest: a for a in verb_parser._actions if a.dest not in ("help", "config")}
+    values = {}
+    for key, value in cfg.items():
+        action = actions.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} for {verb_parser.prog}")
+        if value is None:
+            continue
+        if action.nargs == 0:                       # a switch such as --no-train
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} must be true or false")
+            values[key] = value
+            continue
+        texts = [str(v) for v in value] if isinstance(value, list) else [str(value)]
+        if action.nargs is None:                    # one token: lists are comma-joined
+            texts = [",".join(texts)]
+        try:
+            parsed = [action.type(t) if action.type else t for t in texts]
+        except (ValueError, TypeError) as exc:
+            raise UsageError(f"bad {key} {value!r}") from exc
+        if action.choices is not None and not set(parsed) <= set(action.choices):
+            raise UsageError(f"unknown {key} {value!r}")
+        values[key] = parsed if action.nargs else parsed[0]
+    return values
+
+
+def _given(v, *same, **renamed) -> dict:
+    """``{field: v[flag]}`` for each flag set in ``v``; names in ``same`` are both."""
+    pairs = {**dict(zip(same, same)), **renamed}
+    return {field: v[flag] for field, flag in pairs.items() if flag in v}
+
+
+def _synthetic_spec(v, **extra) -> SyntheticSpec:
+    return SyntheticSpec(**_given(v, "group", "d", "n_train", "n_test", "feature_range"),
+                         **extra)
 
 
 def _cutstats_config(v) -> CutstatsConfig:
-    return _cfg(CutstatsConfig, k=int(v["k"] or 20), tau=float(v["tau"] or 0.4),
-                priors=_priors(v["priors"]))
+    return CutstatsConfig(**_given(v, "k", "tau", "priors"))
 
 
-def _mlp_config(v, **kw) -> MlpConfig:
-    return _cfg(MlpConfig, hidden_units=int(v["hidden"] or 32),
-                epochs=int(v["epochs"] or 20), batch_size=int(v["batch_size"] or 1024),
-                learning_rate=float(v["lr"] or 1e-2), **kw)
+def _mlp_config(v, **extra) -> MlpConfig:
+    return MlpConfig(**_given(v, "epochs", "batch_size", "num_classes",
+                              hidden_units="hidden", learning_rate="lr"), **extra)
 
 
-def _write_guard(path, write_fn):
-    """Remove a half-written file if emission fails."""
-    try:
-        write_fn(path)
-    except BaseException:
-        if os.path.exists(path):
-            os.unlink(path)
-        raise
-    return path
-
-
-def _out_path(directory, name):
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-        return os.path.join(directory, name)
-    return name
+def _read_dataset(path, **kw):
+    return _staged("load", io.read_dataset_csv, path, **kw)
 
 
 # --------------------------------------------------------------------- gen
 
 
-def _cmd_gen(args) -> int:
-    v = _merged(args, ["group", "d", "n_train", "n_test", "feature_range",
-                       "seed", "out_train", "out_test"])
-    if v["group"] is None:
+def _cmd_gen(v) -> int:
+    if "group" not in v:
         raise UsageError("--group is required")
-    spec = _cfg(SyntheticSpec,
-                group=v["group"],
-                d=int(v["d"]) if v["d"] is not None else 0,
-                n_train=int(v["n_train"]) if v["n_train"] is not None else 20000,
-                n_test=int(v["n_test"]) if v["n_test"] is not None else 5000,
-                feature_range=(tuple(float(x) for x in v["feature_range"])
-                               if v["feature_range"] is not None else None),
-                seed=int(v["seed"] or 0))
-    train, test = generate_synthetic(spec)
-    _write_guard(v["out_train"] or "train.csv", lambda p: io.write_dataset_csv(train, p))
-    _write_guard(v["out_test"] or "test.csv", lambda p: io.write_dataset_csv(test, p))
+    train, test = generate_synthetic(_cfg(_synthetic_spec, v, **_given(v, "seed")))
+    io.write_dataset_csv(train, v.get("out_train", "train.csv"))
+    io.write_dataset_csv(test, v.get("out_test", "test.csv"))
     return 0
 
 
 # ----------------------------------------------------------------- corrupt
 
 
-def _cmd_corrupt(args) -> int:
-    v = _merged(args, ["infile", "outfile", "p", "num_classes", "seed"])
-    if v["infile"] is None or v["outfile"] is None or v["p"] is None:
+def _cmd_corrupt(v) -> int:
+    if not {"infile", "outfile", "p"} <= v.keys():
         raise UsageError("--in, --out and --p are required")
-    noise = _cfg(NoiseSpec, flip_probability=float(v["p"]),
-                 num_classes=int(v["num_classes"] or 2), seed=int(v["seed"] or 0))
-    dataset = io.read_dataset_csv(v["infile"])
-    noisy = inject_label_noise(dataset, noise)
-    _write_guard(v["outfile"], lambda p: io.write_dataset_csv(noisy, p))
+    noise = _cfg(NoiseSpec, **_given(v, "num_classes", "seed", flip_probability="p"))
+    noisy = inject_label_noise(_read_dataset(v["infile"]), noise)
+    io.write_dataset_csv(noisy, v["outfile"])
     return 0
 
 
 # --------------------------------------------------------------- represent
 
 
-def _cmd_represent(args) -> int:
-    v = _merged(args, ["infile", "outfile", "kind"])
-    if v["infile"] is None or v["outfile"] is None:
+def _cmd_represent(v) -> int:
+    if not {"infile", "outfile"} <= v.keys():
         raise UsageError("--in and --out are required")
-    kind = v["kind"] or "l2norm"
-    if kind not in ("identity", "l2norm", "sort"):
-        raise UsageError(f"cannot compute representation kind {kind!r}")
-    dataset = io.read_dataset_csv(v["infile"])
-    rep = compute_representation(dataset, kind)
-    _write_guard(v["outfile"],
-                 lambda p: io.write_embedding_csv(dataset.ids, rep.representations, p))
+    dataset = _read_dataset(v["infile"])
+    rep = compute_representation(dataset, v.get("kind", ExperimentConfig.representation_kind))
+    io.write_embedding_csv(dataset.ids, rep.representations, v["outfile"])
     return 0
 
 
 # ------------------------------------------------------------------ select
 
 
-def _cmd_select(args) -> int:
-    v = _merged(args, ["infile", "method", "kind", "embedding", "k", "tau",
-                       "priors", "num_classes", "seed", "hidden", "epochs",
-                       "batch_size", "lr", "out_scores", "out_subset"])
-    if v["infile"] is None:
+def _cmd_select(v) -> int:
+    if "infile" not in v:
         raise UsageError("--in is required")
-    seed = int(v["seed"] or 0)
-    config = _cfg(ExperimentConfig, train_path=v["infile"],
-                  representation_kind=v["kind"] or "l2norm", embedding_path=v["embedding"],
-                  method=v["method"] or "cutstats", cutstats=_cutstats_config(v),
-                  mlp=_mlp_config(v), seeds=(seed,))
-    dataset = io.read_dataset_csv(
-        v["infile"], num_classes=int(v["num_classes"]) if v["num_classes"] else None)
-    sel, _ = select(config, seed, dataset)
+    mlp = _cfg(_mlp_config, v, **_given(v, "seed"))   # mlp.seed is the run seed
+    config = _cfg(ExperimentConfig, train_path=v["infile"], cutstats=_cfg(_cutstats_config, v),
+                  mlp=mlp, seeds=(mlp.seed,),
+                  **_given(v, "method", representation_kind="kind", embedding_path="embedding"))
+    dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
+    sel, _ = select(config, mlp.seed, dataset)
 
-    if v["out_scores"]:
-        _write_guard(v["out_scores"], lambda p: io.write_selection_csv(sel, dataset.ids, p))
-    _write_guard(v["out_subset"] or "subset.txt", lambda p: io.write_subset(sel.selected, p))
+    if "out_scores" in v:
+        io.write_selection_csv(sel, dataset.ids, v["out_scores"])
+    io.write_subset(sel.selected, v.get("out_subset", "subset.txt"))
     if dataset.true_labels is not None:
         print(f"subset_accuracy={100.0 * subset_accuracy(sel, dataset):.2f}")
     return 0
@@ -219,106 +177,69 @@ def _cmd_select(args) -> int:
 # ------------------------------------------------------------------- train
 
 
-def _cmd_train(args) -> int:
-    v = _merged(args, ["infile", "subset", "hidden", "epochs", "batch_size",
-                       "lr", "num_classes", "seed", "out_model"])
-    if v["infile"] is None or v["out_model"] is None:
+def _cmd_train(v) -> int:
+    if not {"infile", "out_model"} <= v.keys():
         raise UsageError("--in and --out are required")
-    dataset = io.read_dataset_csv(
-        v["infile"], num_classes=int(v["num_classes"]) if v["num_classes"] else None)
-    if v["subset"]:
-        dataset = dataset.restrict(io.read_subset(v["subset"]))
-    model = train_mlp(dataset, _mlp_config(v, num_classes=dataset.num_classes,
-                                           seed=int(v["seed"] or 0)))
-    _write_guard(v["out_model"], lambda p: save_classifier(model, p))
+    mlp = _cfg(_mlp_config, v, **_given(v, "seed"))
+    dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
+    if "subset" in v:
+        dataset = dataset.restrict(_staged("load", io.read_subset, v["subset"]))
+    model = train_mlp(dataset, replace(mlp, num_classes=dataset.num_classes))
+    save_classifier(model, v["out_model"])
     return 0
 
 
 # -------------------------------------------------------------------- eval
 
 
-def _cmd_eval(args) -> int:
-    v = _merged(args, ["model", "test", "out_csv"])
-    if v["model"] is None or v["test"] is None:
+def _cmd_eval(v) -> int:
+    if not {"model", "test"} <= v.keys():
         raise UsageError("--model and --test are required")
-    model = load_classifier(v["model"])
-    test = io.read_dataset_csv(v["test"], num_classes=model.num_classes)
-    m = evaluate(model, test)
+    model = _staged("load", load_classifier, v["model"])
+    m = evaluate(model, _read_dataset(v["test"], num_classes=model.num_classes))
     print(f"accuracy={100.0 * m.classifier_accuracy:.2f}")
     print(f"balanced_error={100.0 * m.balanced_error:.2f}")
-    if v["out_csv"]:
-        _write_guard(v["out_csv"], lambda p: io.write_csv(
-            p, ["accuracy", "balanced_error"],
-            [[io.format_float(m.classifier_accuracy), io.format_float(m.balanced_error)]]))
+    if "out_csv" in v:
+        io.write_csv(v["out_csv"], ["accuracy", "balanced_error"],
+                     [[io.format_float(m.classifier_accuracy),
+                       io.format_float(m.balanced_error)]])
     return 0
 
 
 # --------------------------------------------------------------------- exp
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    v = _merged(args, ["group", "d", "n_train", "n_test", "feature_range", "train",
-                       "test", "p", "num_classes", "kind", "embedding", "method",
-                       "k", "tau", "priors", "hidden", "epochs", "batch_size", "lr",
-                       "seed_list", "out_dir", "no_train", "target_error"])
-    synthetic = None
-    if v["group"] is not None:
-        synthetic = _cfg(SyntheticSpec, group=v["group"],
-                         d=int(v["d"]) if v["d"] is not None else 0,
-                         n_train=int(v["n_train"] or 20000),
-                         n_test=int(v["n_test"] or 5000),
-                         feature_range=(tuple(float(x) for x in v["feature_range"])
-                                        if v["feature_range"] is not None else None))
-    noise = _cfg(NoiseSpec, flip_probability=float(v["p"] if v["p"] is not None else 0.45),
-                 num_classes=int(v["num_classes"] or 2))
-    cut = _cutstats_config(v)
-    mlp = _mlp_config(v, num_classes=int(v["num_classes"] or 2))
-    return _cfg(ExperimentConfig,
-                synthetic=synthetic,
-                train_path=v["train"], test_path=v["test"],
-                noise=noise,
-                representation_kind=v["kind"] or "l2norm",
-                embedding_path=v["embedding"],
-                method=v["method"] or "cutstats",
-                cutstats=cut, mlp=mlp,
-                seeds=_seed_list(v["seed_list"]),
-                output_dir=v["out_dir"] or ".",
-                train_downstream=not v["no_train"],
-                invariance_target=(float(v["target_error"])
-                                   if v["target_error"] is not None else None))
+def _experiment_config(v) -> ExperimentConfig:
+    return ExperimentConfig(
+        synthetic=_synthetic_spec(v) if "group" in v else None,
+        noise=replace(ExperimentConfig.noise, **_given(v, "num_classes", flip_probability="p")),
+        cutstats=_cutstats_config(v),
+        mlp=_mlp_config(v),
+        train_downstream=not v.get("no_train", False),
+        **_given(v, "method", train_path="train", test_path="test",
+                 representation_kind="kind", embedding_path="embedding", seeds="seed_list",
+                 output_dir="out_dir", invariance_target="target_error"))
 
 
-def _cmd_exp(args) -> int:
-    config = _experiment_config(args)
-    result = run_experiment(config)
+def _print_report(result) -> None:
     with open(result["txt_path"]) as f:
         sys.stdout.write(f.read())
+
+
+def _cmd_exp(v) -> int:
+    _print_report(run_experiment(_cfg(_experiment_config, v)))
     return 0
 
 
 # ------------------------------------------------------------------ bounds
 
 
-def _cmd_bounds(args) -> int:
-    v = _merged(args, ["n", "nu", "rho", "delta", "omega", "p0", "kl1",
-                       "beta", "mode", "d_range", "out_dir"])
-    mode = v["mode"] or "plain"
-    if mode not in WINDOW_MODES:
-        raise UsageError(f"unknown window mode {mode!r}")
-    d_range = _int_list(v["d_range"], "d range")
-    if not d_range:
+def _cmd_bounds(v) -> int:
+    if not v.get("d_range"):
         raise UsageError("empty d_range")
-    params = _cfg(WindowParams, n=int(v["n"] or 10**6),
-                  nu=float(v["nu"] if v["nu"] is not None else 0.05),
-                  rho=float(v["rho"] if v["rho"] is not None else 1.0),
-                  delta=float(v["delta"] if v["delta"] is not None else 0.1),
-                  omega=float(v["omega"] if v["omega"] is not None else 1.0),
-                  p0=float(v["p0"] if v["p0"] is not None else 1.0),
-                  kl1=float(v["kl1"] if v["kl1"] is not None else 1.0),
-                  mode=mode,
-                  beta=float(v["beta"] if v["beta"] is not None else 1.0))
-    result = run_bounds(params, d_range, output_dir=v["out_dir"] or ".")
-    report = result["report"]
+    params = _cfg(WindowParams, **_given(v, "n", "nu", "rho", "delta", "omega", "p0",
+                                          "kl1", "beta", "mode"))
+    report = run_bounds(params, v["d_range"], **_given(v, output_dir="out_dir"))["report"]
     for d, log_l, log_u, ok in report.rows:
         print(f"d={d} logL={log_l:.6f} logU={log_u:.6f} {'feasible' if ok else 'infeasible'}")
     print(f"d0={report.d0 if report.d0 is not None else 'none'}")
@@ -328,112 +249,65 @@ def _cmd_bounds(args) -> int:
 # ------------------------------------------------------------------ ablate
 
 
-def _cmd_ablate(args) -> int:
-    v = _merged(args, ["ablation", "grid"])
-    kind = v["ablation"]
+def _cmd_ablate(v) -> int:
+    kind = v.get("ablation")
     if kind not in ABLATION_KINDS:
         raise UsageError(f"unknown ablation kind {kind!r}")
-    if kind in ("dimension_sweep", "k_sweep"):
-        grid = _int_list(v["grid"], "grid")
-    else:
-        grid = _float_list(v["grid"], "grid")
-    if not grid:
+    if "grid" not in v:
         raise UsageError("empty ablation grid")
-    config = _experiment_config(args)
-    result = run_ablation(kind, config, grid)
-    with open(result["txt_path"]) as f:
-        sys.stdout.write(f.read())
+    point = int if kind in ("dimension_sweep", "k_sweep") else float
+    grid = _cfg(_list_of(point), v["grid"])
+    _print_report(run_ablation(kind, _cfg(_experiment_config, v), grid))
     return 0
 
 
 # --------------------------------------------------------- validate-theory
 
 
-def _cmd_validate_theory(args) -> int:
-    v = _merged(args, ["trials", "tuples", "seed"])
-    trials = int(v["trials"] or 10**6)
-    n_tuples = int(v["tuples"] or 20)
-    seed = int(v["seed"] or 0)
+def _cmd_validate_theory(v) -> int:
     failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        line = f"{'PASS' if ok else 'FAIL'}: {name}"
-        if detail:
-            line += f" ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
-    report = validate_prop1_monte_carlo(0.45, 0.45, 0.74, 0.74, trials=trials, seed=seed)
-    check("propagation worked point 0.45/0.45/0.74/0.74", report.within(3.0),
-          f"predicted {report.alpha_s_pred:.4f} empirical {report.alpha_s_emp:.4f}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 41]))
-    ok_all = True
-    for i in range(n_tuples):
-        alpha, gamma = rng.uniform(0.05, 0.45, size=2)
-        lam0 = rng.uniform(0.55, 0.95)
-        lam1 = rng.uniform(max(0.55, 1.0 - lam0), 0.95)
-        rep = validate_prop1_monte_carlo(alpha, gamma, lam0, lam1,
-                                         trials=trials, seed=seed + i + 1)
-        if not rep.within(3.0):
-            ok_all = False
-    check(f"propagation on {n_tuples} random tuples", ok_all)
-    boundary = check_corollary(0.3, 0.2, 0.6, 0.4)
-    check("corollary boundary lambda0+lambda1=1",
-          boundary.precondition_met and abs(boundary.alpha_margin) <= 1e-9)
-    grid_ok = True
-    for lam0 in (0.5, 0.7, 0.9):
-        for lam1 in (1.0 - lam0 + 0.05, 0.95):
-            for alpha in (0.1, 0.3, 0.45):
-                rep = check_corollary(alpha, alpha, lam0, lam1)
-                grid_ok = grid_ok and rep.holds
-    check("corollary improvement when lambda0+lambda1>=1", grid_ok)
-    for d in (2, 3):
-        rep = check_sorted_density(d, trials=max(trials, 10**5), seed=seed)
-        check(f"sorted density factor {rep.factor:.0f} at d={d}", rep.all_passed,
-              f"max |z| {rep.max_abs_z:.2f} over {rep.cells_tested} cells")
+    for name, ok, detail in theory_checks(**_given(v, "trials", "tuples", "seed")):
+        print(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else ""))
+        failures += not ok
     return 0 if failures == 0 else 1
 
 
 # ----------------------------------------------------------------- parser
 
 
-def _add_common(p):
-    p.add_argument("--config", help="JSON config; flags override its keys")
-    p.add_argument("--seed", type=int, default=None)
-
-
 def _add_mlp_flags(p):
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
+    p.add_argument("--hidden", type=int)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
+
+
+def _add_synthetic_flags(p):
+    p.add_argument("--group", choices=GROUPS)
+    p.add_argument("--d", type=int)
+    p.add_argument("--n-train", type=int)
+    p.add_argument("--n-test", type=int)
+    p.add_argument("--range", dest="feature_range", nargs=2, type=float,
+                   metavar=("LO", "HI"))
 
 
 def _add_exp_flags(p):
-    p.add_argument("--group", choices=GROUPS, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n-train", dest="n_train", type=int, default=None)
-    p.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p.add_argument("--range", dest="feature_range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--train", default=None, help="train dataset CSV (file source)")
-    p.add_argument("--test", default=None, help="test dataset CSV")
-    p.add_argument("--p", type=float, default=None, help="label flip probability")
-    p.add_argument("--num-classes", dest="num_classes", type=int, default=None)
-    p.add_argument("--kind", choices=REPRESENTATION_KINDS, default=None)
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--priors", default=None, help='"empirical" or comma floats')
+    _add_synthetic_flags(p)
+    p.add_argument("--train", help="train dataset CSV (file source)")
+    p.add_argument("--test", help="test dataset CSV")
+    p.add_argument("--p", type=float, help="label flip probability")
+    p.add_argument("--num-classes", type=int)
+    p.add_argument("--kind", choices=REPRESENTATION_KINDS)
+    p.add_argument("--embedding")
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--k", type=int)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--priors", type=_priors, help='"empirical" or comma floats')
     _add_mlp_flags(p)
-    p.add_argument("--seed-list", dest="seed_list", default=None,
-                   help="comma-separated seeds")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--no-train", dest="no_train", action="store_true", default=False)
-    p.add_argument("--target-error", dest="target_error", type=float, default=None)
+    p.add_argument("--seed-list", type=_list_of(int), help="comma-separated seeds")
+    p.add_argument("--out-dir")
+    p.add_argument("--no-train", action="store_true")
+    p.add_argument("--target-error", type=float)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -442,89 +316,91 @@ def _parser() -> argparse.ArgumentParser:
         description="Invariance-aware cutstats data curation and theory checks")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("gen", help="generate a synthetic dataset")
-    _add_common(p)
-    p.add_argument("--group", choices=GROUPS, default=None)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n-train", dest="n_train", type=int, default=None)
-    p.add_argument("--n-test", dest="n_test", type=int, default=None)
-    p.add_argument("--range", dest="feature_range", nargs=2, type=float, default=None,
-                   metavar=("LO", "HI"))
-    p.add_argument("--out-train", dest="out_train", default=None)
-    p.add_argument("--out-test", dest="out_test", default=None)
+    def verb(name, help):
+        # unset flags stay out of the namespace, so library defaults apply; no
+        # abbreviations, or a removed --seed would silently mean --seed-list
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
+        p.add_argument("--config", help="JSON config; flags override its keys")
+        return p
 
-    p = sub.add_parser("corrupt", help="inject symmetric label noise")
-    _add_common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--num-classes", dest="num_classes", type=int, default=None)
+    p = verb("gen", "generate a synthetic dataset")
+    p.add_argument("--seed", type=int)
+    _add_synthetic_flags(p)
+    p.add_argument("--out-train")
+    p.add_argument("--out-test")
 
-    p = sub.add_parser("represent", help="compute a representation CSV")
-    _add_common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--out", dest="outfile", default=None)
-    p.add_argument("--kind", choices=("identity", "l2norm", "sort"), default=None)
+    p = verb("corrupt", "inject symmetric label noise")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out", dest="outfile")
+    p.add_argument("--p", type=float)
+    p.add_argument("--num-classes", type=int)
 
-    p = sub.add_parser("select", help="select a training subset")
-    _add_common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--method", choices=METHODS, default=None)
-    p.add_argument("--kind", choices=REPRESENTATION_KINDS, default=None)
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--priors", default=None)
-    p.add_argument("--num-classes", dest="num_classes", type=int, default=None)
+    p = verb("represent", "compute a representation CSV")
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--out", dest="outfile")
+    p.add_argument("--kind", choices=("identity", "l2norm", "sort"))
+
+    p = verb("select", "select a training subset")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--method", choices=METHODS)
+    p.add_argument("--kind", choices=REPRESENTATION_KINDS)
+    p.add_argument("--embedding")
+    p.add_argument("--k", type=int)
+    p.add_argument("--tau", type=float)
+    p.add_argument("--priors", type=_priors)
+    p.add_argument("--num-classes", type=int)
     _add_mlp_flags(p)
-    p.add_argument("--out-scores", dest="out_scores", default=None)
-    p.add_argument("--out-subset", dest="out_subset", default=None)
+    p.add_argument("--out-scores")
+    p.add_argument("--out-subset")
 
-    p = sub.add_parser("train", help="train the downstream classifier")
-    _add_common(p)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--subset", default=None, help="subset id file")
-    p.add_argument("--num-classes", dest="num_classes", type=int, default=None)
+    p = verb("train", "train the downstream classifier")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--in", dest="infile")
+    p.add_argument("--subset", help="subset id file")
+    p.add_argument("--num-classes", type=int)
     _add_mlp_flags(p)
-    p.add_argument("--out", dest="out_model", default=None)
+    p.add_argument("--out", dest="out_model")
 
-    p = sub.add_parser("eval", help="evaluate a saved classifier")
-    _add_common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--test", default=None)
-    p.add_argument("--out-csv", dest="out_csv", default=None)
+    p = verb("eval", "evaluate a saved classifier")
+    p.add_argument("--model")
+    p.add_argument("--test")
+    p.add_argument("--out-csv")
 
-    p = sub.add_parser("exp", help="end-to-end seeded experiment")
-    _add_common(p)
+    p = verb("exp", "end-to-end seeded experiment")
     _add_exp_flags(p)
 
-    p = sub.add_parser("bounds", help="feasibility window over dimensions")
-    _add_common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--kl1", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mode", choices=WINDOW_MODES, default=None)
-    p.add_argument("--d-range", dest="d_range", default=None,
-                   help="comma list or LO:HI inclusive")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
+    p = verb("bounds", "feasibility window over dimensions")
+    p.add_argument("--n", type=int)
+    p.add_argument("--nu", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--omega", type=float)
+    p.add_argument("--p0", type=float)
+    p.add_argument("--kl1", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--mode", choices=WINDOW_MODES)
+    p.add_argument("--d-range", type=_list_of(int), help="comma list or LO:HI inclusive")
+    p.add_argument("--out-dir")
 
-    p = sub.add_parser("ablate", help="sweep one knob through the pipeline")
-    _add_common(p)
-    p.add_argument("--ablation", choices=ABLATION_KINDS, default=None)
-    p.add_argument("--grid", default=None, help="comma-separated grid points")
+    p = verb("ablate", "sweep one knob through the pipeline")
+    p.add_argument("--ablation", choices=ABLATION_KINDS)
+    p.add_argument("--grid", help="comma-separated grid points")
     _add_exp_flags(p)
 
-    p = sub.add_parser("validate-theory", help="Monte Carlo theory checks")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--tuples", type=int, default=None)
+    p = verb("validate-theory", "Monte Carlo theory checks")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--tuples", type=int)
 
     return parser
+
+
+def _verb_parsers(parser) -> dict:
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
 
 
 HANDLERS = {
@@ -543,12 +419,17 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
+    values = vars(parser.parse_args(argv))
+    verb = values.pop("command")
+    if verb is None:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        return HANDLERS[args.command](args)
+        if "config" in values:
+            # one mapping of the flags actually set: the config's, then the command line's
+            config = _config_values(_verb_parsers(parser)[verb], values.pop("config"))
+            values = {**config, **values}
+        return HANDLERS[verb](values)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

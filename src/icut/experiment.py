@@ -168,14 +168,9 @@ def _emit(output_dir: str, stem: str, header, csv_rows, txt_rows) -> Tuple[str, 
     os.makedirs(output_dir, exist_ok=True)
     csv_path = os.path.join(output_dir, stem + ".csv")
     txt_path = os.path.join(output_dir, stem + ".txt")
-    try:
+    with io.unlink_on_failure(csv_path, txt_path):
         io.write_csv(csv_path, header, csv_rows)
         io.write_text_table(txt_path, header, txt_rows)
-    except BaseException:
-        for p in (csv_path, txt_path):
-            if os.path.exists(p):
-                os.unlink(p)
-        raise
     return csv_path, txt_path
 
 
@@ -206,12 +201,7 @@ def run_bounds(params, d_range: Sequence[int], output_dir: str = ".") -> dict:
     report = feasibility_window(params, d_range)
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, "bounds.csv")
-    try:
-        io.write_bounds_csv(report, path)
-    except BaseException:
-        if os.path.exists(path):
-            os.unlink(path)
-        raise
+    io.write_bounds_csv(report, path)
     return {"report": report, "csv_path": path}
 
 

@@ -7,6 +7,8 @@ emitted file a pure function of its inputs.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,8 +20,20 @@ def format_float(v: float) -> str:
     return repr(float(v))
 
 
+@contextmanager
+def unlink_on_failure(*paths):
+    """Remove whichever of ``paths`` exist if the body raises: no half-written files."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            if os.path.exists(path):
+                os.unlink(path)
+        raise
+
+
 def _write_lines(path, lines: Sequence[str]) -> None:
-    with open(path, "w", newline="") as f:
+    with unlink_on_failure(path), open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")
 
 

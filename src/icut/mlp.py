@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import LabeledDataset, Metrics, balanced_error
+from .io import unlink_on_failure
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -188,7 +189,7 @@ MAGIC = b"MLP1"
 def save_classifier(model: TrainedClassifier, path) -> None:
     """Flat binary: magic, u32-LE dims (d, hidden, C), then f64-LE layers."""
     d, hidden = model.W1.shape
-    with open(path, "wb") as f:
+    with unlink_on_failure(path), open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<III", d, hidden, model.num_classes))
         for arr in (model.W1, model.b1, model.W2, model.b2):

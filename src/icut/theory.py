@@ -105,13 +105,13 @@ def unit_ball_log_volume(d: int) -> Tuple[float, Optional[float]]:
 
 @dataclass(frozen=True)
 class WindowParams:
-    n: int
-    nu: float
-    rho: float
-    delta: float          # minimum distance between corrupted pairs
-    omega: float          # support-regularity constant
-    p0: float             # density lower bound
-    kl1: float            # lower constant at d = 1; grows linearly with d
+    n: int = 10**6
+    nu: float = 0.05
+    rho: float = 1.0
+    delta: float = 0.1    # minimum distance between corrupted pairs
+    omega: float = 1.0    # support-regularity constant
+    p0: float = 1.0       # density lower bound
+    kl1: float = 1.0      # lower constant at d = 1; grows linearly with d
     mode: str = "plain"
     beta: float = 1.0     # Tsybakov exponent; reported, never used in checks
 
@@ -298,3 +298,42 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
     return SortedDensityReport(d=d, bins=bins, trials=trials, factor=factor,
                                cells_tested=tested, cells_passed=passed,
                                max_abs_z=max_z)
+
+
+def theory_checks(trials: int = 10**6, tuples: int = 20, seed: int = 0):
+    """Yield ``(name, passed, detail)`` for each Monte Carlo and closed-form check.
+
+    The propagation formula at the worked point and on ``tuples`` random
+    tuples, the corollary on its boundary and over a grid, and the sorted
+    density factor at d = 2 and 3.
+    """
+    if tuples < 1:
+        raise ValueError("tuples must be positive")
+    report = validate_prop1_monte_carlo(0.45, 0.45, 0.74, 0.74, trials=trials, seed=seed)
+    yield ("propagation worked point 0.45/0.45/0.74/0.74", report.within(3.0),
+           f"predicted {report.alpha_s_pred:.4f} empirical {report.alpha_s_emp:.4f}")
+    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 41]))
+    ok_all = True
+    for i in range(tuples):
+        alpha, gamma = rng.uniform(0.05, 0.45, size=2)
+        lam0 = rng.uniform(0.55, 0.95)
+        lam1 = rng.uniform(max(0.55, 1.0 - lam0), 0.95)
+        rep = validate_prop1_monte_carlo(alpha, gamma, lam0, lam1,
+                                         trials=trials, seed=seed + i + 1)
+        if not rep.within(3.0):
+            ok_all = False
+    yield f"propagation on {tuples} random tuples", ok_all, ""
+    boundary = check_corollary(0.3, 0.2, 0.6, 0.4)
+    yield ("corollary boundary lambda0+lambda1=1",
+           boundary.precondition_met and abs(boundary.alpha_margin) <= 1e-9, "")
+    grid_ok = True
+    for lam0 in (0.5, 0.7, 0.9):
+        for lam1 in (1.0 - lam0 + 0.05, 0.95):
+            for alpha in (0.1, 0.3, 0.45):
+                rep = check_corollary(alpha, alpha, lam0, lam1)
+                grid_ok = grid_ok and rep.holds
+    yield "corollary improvement when lambda0+lambda1>=1", grid_ok, ""
+    for d in (2, 3):
+        rep = check_sorted_density(d, trials=max(trials, 10**5), seed=seed)
+        yield (f"sorted density factor {rep.factor:.0f} at d={d}", rep.all_passed,
+               f"max |z| {rep.max_abs_z:.2f} over {rep.cells_tested} cells")

@@ -1,10 +1,15 @@
 """Command-line driver: exit codes, stdout contracts, file outputs."""
 
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
 
+import icut.cli as cli
 from icut import CutstatsConfig, MlpConfig, round_half_up
 from icut.cli import main
 from icut.core import METHODS
@@ -309,3 +314,101 @@ def test_validate_theory_passes_quickly(capsys):
     lines = out.splitlines()
     assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
+
+
+# --- one flag-resolution path -------------------------------------------------
+
+
+ZERO_VALUED = ([("exp", flag) for flag in ("--k", "--tau", "--epochs", "--hidden", "--lr",
+                                            "--batch-size", "--num-classes", "--n-train")]
+               + [("select", "--epochs"), ("bounds", "--n")])
+
+
+@pytest.mark.parametrize("verb,flag", ZERO_VALUED)
+def test_zero_valued_flags_are_usage_errors(capsys, workdir, tmp_path, verb, flag):
+    base = {"exp": ["--group", "orthogonal", "--d", "6", "--n-train", "120",
+                    "--n-test", "60", "--epochs", "2", "--seed-list", "0",
+                    "--out-dir", str(tmp_path)],
+            "select": ["--in", str(workdir / "noisy.csv"),
+                       "--out-subset", str(tmp_path / "subset.txt")],
+            "bounds": ["--d-range", "2:5", "--out-dir", str(tmp_path)]}[verb]
+    code, _, err = run_cli(capsys, verb, *base, flag, "0")
+    assert code == 2
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_switch_set_true_turns_training_off(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"no_train": True, "seed_list": [0]}))
+    code, _, _ = run_cli(capsys, "exp", "--config", str(cfg), "--group", "orthogonal",
+                         "--d", "6", "--n-train", "120", "--n-test", "60",
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    header, rows = read_csv(tmp_path / "report.csv")
+    assert [r[0] for r in rows] == ["0", "mean", "std"]
+    assert float(rows[0][header.index("classifier_accuracy")]) == 0.0
+
+
+@pytest.mark.parametrize("cfg,message", [
+    ({"K": 3}, "unknown config key 'K'"),
+    ({"hidden_units": 8}, "unknown config key 'hidden_units'"),
+    ({"seed_list": [0]}, "unknown config key 'seed_list'"),
+    ({"k": 0}, "k must be positive"),
+    ({"k": "five"}, "bad k"),
+])
+def test_config_values_are_checked_like_flags(capsys, workdir, tmp_path, cfg, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "select", "--in", str(workdir / "noisy.csv"),
+                           "--config", str(path), "--out-subset", str(tmp_path / "s.txt"))
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("verb", ["exp", "ablate", "bounds", "eval"])
+def test_verbs_without_a_seed_reject_the_flag(verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--seed", "1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--in"],
+    ["train", "--out", "model.bin", "--in"],
+    ["corrupt", "--out", "out.csv", "--p", "0.1", "--in"],
+    ["represent", "--out", "rep.csv", "--in"],
+    ["eval", "--model", "model.bin", "--test"],
+], ids=lambda argv: argv[0])
+def test_missing_input_files_are_load_errors(capsys, workdir, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--in", str(workdir / "noisy.csv"), "--epochs", "1",
+                 "--out", "model.bin"]) == 0
+    code, _, err = run_cli(capsys, *argv, "absent.csv")
+    assert code == 1
+    assert err.startswith("error: [load] [Errno 2]")
+
+
+def _string_constants(fn, seen):
+    """String literals in ``fn`` and in the ``icut.cli`` functions it calls, transitively."""
+    found = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+        elif isinstance(node, ast.Name) and node.id not in seen:
+            target = getattr(cli, node.id, None)
+            if inspect.isfunction(target) and target.__module__ == cli.__name__:
+                seen.add(node.id)
+                found |= _string_constants(target, seen)
+    return found
+
+
+def test_every_declared_flag_is_read_by_its_handler():
+    parser = cli._parser()
+    verbs = next(a.choices for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    assert set(verbs) == set(cli.HANDLERS)
+    for verb, p in verbs.items():
+        declared = {a.dest for a in p._actions if a.dest not in ("help", "config")}
+        unread = declared - _string_constants(cli.HANDLERS[verb], set())
+        assert not unread, f"{verb} declares flags it never reads: {sorted(unread)}"

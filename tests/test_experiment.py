@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from icut import experiment
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, NoiseSpec,
                   StageError, SyntheticSpec, run_ablation, run_bounds,
                   run_experiment, run_seed)
@@ -209,3 +210,13 @@ def test_run_ablation_dimension_sweep_requires_synthetic(tmp_path):
                            output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="synthetic source"):
         run_ablation("dimension_sweep", cfg, [4])
+
+
+def test_report_pair_is_removed_when_the_text_table_fails(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment.io, "write_text_table", fail)
+    with pytest.raises(OSError):
+        experiment._emit(str(tmp_path), "report", ["a"], [["1"]], [["1"]])
+    assert list(tmp_path.iterdir()) == []

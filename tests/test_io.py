@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from icut import SelectionResult
-from icut.io import (format_float, read_csv, read_dataset_csv,
+from icut.io import (_write_lines, format_float, read_csv, read_dataset_csv,
                      read_embedding_csv, read_lines, read_selection_csv,
                      read_subset, write_bounds_csv, write_csv,
                      write_dataset_csv, write_embedding_csv,
@@ -175,3 +175,10 @@ def test_text_table_header_only(tmp_path):
     path = tmp_path / "t.txt"
     write_text_table(path, ["alpha", "b"], [])
     assert read_lines(path) == ["alpha  b"]
+
+
+def test_failed_write_leaves_no_half_written_file(tmp_path):
+    path = tmp_path / "half.txt"
+    with pytest.raises(TypeError):
+        _write_lines(path, ["kept", 3])
+    assert not path.exists()

@@ -8,6 +8,7 @@ import pytest
 from icut import (WindowParams, bound_proxy, check_corollary,
                   check_sorted_density, feasibility_window, subset_error_rates,
                   unit_ball_log_volume, validate_prop1_monte_carlo)
+from icut.theory import theory_checks
 
 WORKED = dict(n=10**6, nu=0.05, rho=1.0, delta=0.1, omega=1.0, p0=1.0, kl1=1.0)
 
@@ -271,3 +272,12 @@ def test_sorted_density_rejects_thin_sampling():
 def test_sorted_density_rejects_overfine_bins():
     with pytest.raises(ValueError, match="bins too fine"):
         check_sorted_density(3, trials=10**5, bins=32)
+
+
+def test_window_params_default_to_the_worked_example():
+    assert WindowParams() == WindowParams(**WORKED)
+
+
+def test_theory_checks_reject_an_empty_tuple_set():
+    with pytest.raises(ValueError, match="tuples must be positive"):
+        next(theory_checks(trials=10**4, tuples=0))
