@@ -8,7 +8,7 @@ and check the supporting theory numerically.
 
 from .core import (LabeledDataset, Metrics, SelectionResult, balanced_error,
                    rank_select, round_half_up, subset_accuracy, summarize_runs)
-from .cutstats import CutstatsConfig, class_priors, cutstats_scores, select_smallest
+from .cutstats import CutstatsConfig, class_priors, cutstats_scores
 from .datagen import (NoiseSpec, SyntheticSpec, apply_group_action,
                       generate_synthetic, generating_function, inject_label_noise)
 from .experiment import (ExperimentConfig, StageError, run_ablation, run_bounds,
@@ -17,7 +17,7 @@ from .knn import (NeighborTable, build_neighbor_table, estimate_class_accuracies
                   knn_predict)
 from .mlp import (MlpConfig, TrainedClassifier, entropy_scores, evaluate,
                   forgetting_counts, load_classifier, save_classifier, train_mlp)
-from .baselines import entropy_select, forget_select, herding_select, random_select
+from .baselines import herding_select, random_scores
 from .representation import (RepresentedDataset, compute_representation,
                              estimate_invariance_error, load_external_representation,
                              perturb_representation)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LabeledDataset", "Metrics", "SelectionResult", "balanced_error",
     "rank_select", "round_half_up", "subset_accuracy", "summarize_runs",
-    "CutstatsConfig", "class_priors", "cutstats_scores", "select_smallest",
+    "CutstatsConfig", "class_priors", "cutstats_scores",
     "NoiseSpec", "SyntheticSpec", "apply_group_action", "generate_synthetic",
     "generating_function", "inject_label_noise",
     "ExperimentConfig", "StageError", "run_ablation", "run_bounds",
@@ -39,7 +39,7 @@ __all__ = [
     "knn_predict",
     "MlpConfig", "TrainedClassifier", "entropy_scores", "evaluate",
     "forgetting_counts", "load_classifier", "save_classifier", "train_mlp",
-    "entropy_select", "forget_select", "herding_select", "random_select",
+    "herding_select", "random_scores",
     "RepresentedDataset", "compute_representation", "estimate_invariance_error",
     "load_external_representation", "perturb_representation",
     "FeasibilityReport", "WindowParams", "bound_proxy", "check_corollary",

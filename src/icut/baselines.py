@@ -1,10 +1,9 @@
-"""Comparison subset selectors: random, entropy, forgetting, herding.
+"""Comparison selectors: random scores and herding.
 
-Entropy and forgetting consume per-sample scores produced by a model
-trained on the full noisy set (see ``mlp.entropy_scores`` and
-``mlp.forgetting_counts``); this module only ranks them.  Herding runs a
-greedy mean-matching scan per noisy class in the chosen representation
-space.
+Random, like cutstats, entropy and forgetting (``mlp.entropy_scores``,
+``mlp.forgetting_counts``), is a per-sample score that ``core.rank_select``
+ranks.  Herding keeps its own pick order: a greedy mean-matching scan per
+noisy class in the chosen representation space.
 """
 
 from __future__ import annotations
@@ -14,39 +13,14 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .core import LabeledDataset, SelectionResult, rank_select, round_half_up
+from .core import SelectionResult, round_half_up
 from .representation import RepresentedDataset
 
 
-def random_select(dataset: LabeledDataset, tau: float, seed: int = 0) -> SelectionResult:
-    """Uniform sample without replacement of round(tau*n) ids."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must lie in (0, 1]")
+def random_scores(n: int, seed: int) -> np.ndarray:
+    """Uniform scores; ranking them draws round(tau*n) ids without replacement."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 29]))
-    scores = rng.random(dataset.n)
-    selected = rank_select(scores, dataset.ids, tau)
-    return SelectionResult(scores=scores, selected=selected, method="random",
-                           representation_kind="identity", tau=float(tau))
-
-
-def entropy_select(dataset: LabeledDataset, entropy: np.ndarray, tau: float) -> SelectionResult:
-    """Retain the round(tau*n) lowest-entropy samples, ties by id."""
-    entropy = np.asarray(entropy, dtype=np.float64)
-    if entropy.shape != (dataset.n,):
-        raise ValueError("score length mismatch")
-    selected = rank_select(entropy, dataset.ids, tau)
-    return SelectionResult(scores=entropy, selected=selected, method="entropy",
-                           representation_kind="identity", tau=float(tau))
-
-
-def forget_select(dataset: LabeledDataset, counts: np.ndarray, tau: float) -> SelectionResult:
-    """Retain the round(tau*n) least-forgotten samples, ties by id."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if counts.shape != (dataset.n,):
-        raise ValueError("score length mismatch")
-    selected = rank_select(counts, dataset.ids, tau)
-    return SelectionResult(scores=counts, selected=selected, method="forget",
-                           representation_kind="identity", tau=float(tau))
+    return rng.random(n)
 
 
 def _class_shares(labels: np.ndarray, num_classes: int, total: int) -> np.ndarray:
@@ -101,5 +75,4 @@ def herding_select(rep: RepresentedDataset, tau: float) -> SelectionResult:
         scores[chosen] = np.arange(picks.size, dtype=np.float64)
         picked_ids.append(base.ids[chosen])
     selected = np.concatenate(picked_ids) if picked_ids else np.empty(0, dtype=np.int64)
-    return SelectionResult(scores=scores, selected=selected, method="herding",
-                           representation_kind=rep.kind, tau=float(tau))
+    return SelectionResult(scores=scores, selected=selected)

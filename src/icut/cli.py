@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -23,7 +24,7 @@ from .core import METHODS, REPRESENTATION_KINDS, subset_accuracy
 from .cutstats import CutstatsConfig
 from .datagen import GROUPS, NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
 from .experiment import (ABLATION_KINDS, ExperimentConfig, StageError, _staged,
-                         run_ablation, run_bounds, run_experiment, select)
+                         ablation_configs, run_ablation, run_bounds, run_experiment, select)
 from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
 from .representation import compute_representation
 from .theory import WINDOW_MODES, WindowParams, theory_checks
@@ -238,7 +239,7 @@ def _cmd_bounds(v) -> int:
     if not v.get("d_range"):
         raise UsageError("empty d_range")
     params = _cfg(WindowParams, **_given(v, "n", "nu", "rho", "delta", "omega", "p0",
-                                          "kl1", "beta", "mode"))
+                                          "kl1", "mode"))
     report = run_bounds(params, v["d_range"], **_given(v, output_dir="out_dir"))["report"]
     for d, log_l, log_u, ok in report.rows:
         print(f"d={d} logL={log_l:.6f} logU={log_u:.6f} {'feasible' if ok else 'infeasible'}")
@@ -257,7 +258,9 @@ def _cmd_ablate(v) -> int:
         raise UsageError("empty ablation grid")
     point = int if kind in ("dimension_sweep", "k_sweep") else float
     grid = _cfg(_list_of(point), v["grid"])
-    _print_report(run_ablation(kind, _cfg(_experiment_config, v), grid))
+    config = _cfg(_experiment_config, v)
+    _cfg(ablation_configs, kind, config, grid)      # a bad point is a usage error up front
+    _print_report(run_ablation(kind, config, grid))
     return 0
 
 
@@ -321,6 +324,9 @@ def _parser() -> argparse.ArgumentParser:
         # abbreviations, or a removed --seed would silently mean --seed-list
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
+        # no verb declares a numeric option, so any "-<digit>" token is a value:
+        # argparse's own pattern misses the exponent form (--range -1e-3 1)
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", help="JSON config; flags override its keys")
         return p
 
@@ -380,7 +386,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float)
     p.add_argument("--p0", type=float)
     p.add_argument("--kl1", type=float)
-    p.add_argument("--beta", type=float)
     p.add_argument("--mode", choices=WINDOW_MODES)
     p.add_argument("--d-range", type=_list_of(int), help="comma list or LO:HI inclusive")
     p.add_argument("--out-dir")

@@ -88,26 +88,16 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Per-sample scores plus the retained ids and their provenance."""
+    """Per-sample scores plus the retained ids."""
 
     scores: np.ndarray          # aligned with the dataset order scores came from
     selected: np.ndarray        # retained ids, selection order
-    method: str
-    representation_kind: str
-    tau: float
-    k: Optional[int] = None
 
     def __post_init__(self):
         object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
         object.__setattr__(self, "selected", np.asarray(self.selected, dtype=np.int64))
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.representation_kind not in REPRESENTATION_KINDS:
-            raise ValueError(f"unknown representation kind {self.representation_kind!r}")
         if not np.all(np.isfinite(self.scores)):
             raise ValueError("scores must be finite")
-        if not (0.0 < self.tau <= 1.0):
-            raise ValueError("tau must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

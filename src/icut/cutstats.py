@@ -1,4 +1,4 @@
-"""The cut-statistic z-score and top-tau subset selection.
+"""The cut-statistic z-score.
 
 For sample i with noisy label yhat_i, neighbor weights
 w_ij = 1 / (1 + ||F(x_i) - F(x_j)||_2) over its k nearest neighbors in
@@ -10,17 +10,16 @@ representation space:
     z_i     = (J_i - mu_i) / sigma_i
 
 Low z = the label agrees with its neighborhood more than chance predicts
-= likely clean.  The round(tau*n) smallest z are retained.
+= likely clean.  ``core.rank_select`` retains the round(tau*n) smallest z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import SelectionResult, rank_select
 from .knn import NeighborTable
 from .representation import RepresentedDataset
 
@@ -74,17 +73,3 @@ def cutstats_scores(rep: RepresentedDataset, table: NeighborTable,
     sigma = np.sqrt(p_i * (1.0 - p_i) * sum_w2)
     return (J - mu) / sigma
 
-
-def select_smallest(scores: np.ndarray, tau: float, ids: np.ndarray,
-                    representation_kind: str = "identity",
-                    k: Optional[int] = None) -> SelectionResult:
-    """Retain the round(tau*n) ids with smallest scores (ties by id)."""
-    selected = rank_select(scores, ids, tau)
-    return SelectionResult(
-        scores=np.asarray(scores, dtype=np.float64),
-        selected=selected,
-        method="cutstats",
-        representation_kind=representation_kind,
-        tau=tau,
-        k=k,
-    )

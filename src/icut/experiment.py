@@ -15,10 +15,10 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import io
-from .baselines import entropy_select, forget_select, herding_select, random_select
+from .baselines import herding_select, random_scores
 from .core import (METHODS, REPRESENTATION_KINDS, LabeledDataset, Metrics,
-                   SelectionResult, subset_accuracy, summarize_runs)
-from .cutstats import CutstatsConfig, cutstats_scores, select_smallest
+                   SelectionResult, rank_select, subset_accuracy, summarize_runs)
+from .cutstats import CutstatsConfig, cutstats_scores
 from .datagen import NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
 from .knn import build_neighbor_table
 from .mlp import MlpConfig, entropy_scores, evaluate, forgetting_counts, train_mlp
@@ -94,37 +94,36 @@ def select(config: ExperimentConfig, seed: int, noisy: LabeledDataset):
     """Run the configured selector on ``noisy``; returns (selection, realized_error).
 
     The single selector dispatch: ``run_seed`` and ``icut select`` both call it.
+    Every score-based method ends in the one ``rank_select`` below; herding and
+    full keep their own pick order.
     """
     tau = config.cutstats.tau
     realized = None
     if config.method == "full":
-        return SelectionResult(scores=np.zeros(noisy.n), selected=noisy.ids.copy(),
-                               method="full", representation_kind=config.representation_kind,
-                               tau=1.0), realized
+        return SelectionResult(scores=np.zeros(noisy.n), selected=noisy.ids.copy()), realized
     if config.method == "random":
-        return random_select(noisy, tau, seed=seed), realized
-    if config.method in ("entropy", "forget"):
+        scores = random_scores(noisy.n, seed)
+    elif config.method in ("entropy", "forget"):
         scorer = _staged("train", train_mlp, noisy,
                          replace(config.mlp, num_classes=noisy.num_classes, seed=seed))
-        if config.method == "entropy":
-            return entropy_select(noisy, entropy_scores(scorer, noisy), tau), realized
-        return forget_select(noisy, forgetting_counts(scorer.trace), tau), realized
-
-    # representation-based selectors
-    if config.representation_kind == "external":
-        rep = _staged("represent", load_external_representation, noisy, config.embedding_path)
-    else:
-        rep = _staged("represent", compute_representation, noisy, config.representation_kind)
-    if config.invariance_target is not None:
-        group = config.synthetic.group if config.synthetic is not None else "orthogonal"
-        rep, realized = _staged("represent", perturb_representation, rep,
-                                config.invariance_target, group=group, seed=seed)
-    if config.method == "herding":
-        return herding_select(rep, tau), realized
-    table = _staged("select", build_neighbor_table, rep, config.cutstats.k)
-    scores = _staged("select", cutstats_scores, rep, table, config.cutstats)
-    return select_smallest(scores, tau, noisy.ids,
-                           representation_kind=rep.kind, k=config.cutstats.k), realized
+        scores = (entropy_scores(scorer, noisy) if config.method == "entropy"
+                  else forgetting_counts(scorer.trace))
+    else:  # representation-based selectors
+        if config.representation_kind == "external":
+            rep = _staged("represent", load_external_representation, noisy,
+                          config.embedding_path)
+        else:
+            rep = _staged("represent", compute_representation, noisy,
+                          config.representation_kind)
+        if config.invariance_target is not None:
+            group = config.synthetic.group if config.synthetic is not None else "orthogonal"
+            rep, realized = _staged("represent", perturb_representation, rep,
+                                    config.invariance_target, group=group, seed=seed)
+        if config.method == "herding":
+            return herding_select(rep, tau), realized
+        table = _staged("select", build_neighbor_table, rep, config.cutstats.k)
+        scores = _staged("select", cutstats_scores, rep, table, config.cutstats)
+    return SelectionResult(scores=scores, selected=rank_select(scores, noisy.ids, tau)), realized
 
 
 def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
@@ -205,31 +204,30 @@ def run_bounds(params, d_range: Sequence[int], output_dir: str = ".") -> dict:
     return {"report": report, "csv_path": path}
 
 
-def _ablation_config(config: ExperimentConfig, kind: str, point) -> ExperimentConfig:
+def ablation_configs(kind: str, config: ExperimentConfig, grid: Sequence) -> list:
+    """One checked config per grid point, so a bad point fails before any point runs."""
+    if len(grid) == 0:
+        raise ValueError("empty ablation grid")
     if kind == "invariance_error":
-        return replace(config, invariance_target=float(point))
+        return [replace(config, invariance_target=float(p)) for p in grid]
     if kind == "dimension_sweep":
         if config.synthetic is None:
             raise ValueError("dimension sweep requires a synthetic source")
-        return replace(config, synthetic=replace(config.synthetic, d=int(point)))
+        return [replace(config, synthetic=replace(config.synthetic, d=int(p))) for p in grid]
     if kind == "k_sweep":
-        return replace(config, cutstats=replace(config.cutstats, k=int(point)))
+        return [replace(config, cutstats=replace(config.cutstats, k=int(p))) for p in grid]
     if kind == "tau_sweep":
-        return replace(config, cutstats=replace(config.cutstats, tau=float(point)))
+        return [replace(config, cutstats=replace(config.cutstats, tau=float(p))) for p in grid]
     raise ValueError(f"unknown ablation kind {kind!r}")
 
 
 def run_ablation(kind: str, config: ExperimentConfig, grid: Sequence) -> dict:
     """One pipeline run per grid point; a row per point with realized knobs."""
-    if kind not in ABLATION_KINDS:
-        raise ValueError(f"unknown ablation kind {kind!r}")
-    if len(grid) == 0:
-        raise ValueError("empty ablation grid")
+    configs = ablation_configs(kind, config, grid)
     header = [kind, "realized", "subset_acc_mean", "subset_acc_std",
               "classifier_acc_mean", "classifier_acc_std"]
     csv_rows, txt_rows, points = [], [], []
-    for point in grid:
-        cfg = _ablation_config(config, kind, point)
+    for point, cfg in zip(grid, configs):
         runs = [run_seed(cfg, seed) for seed in sorted(cfg.seeds)]
         summary = summarize_runs([m for m, _ in runs])
         realized = [x["realized_error"] for _, x in runs]

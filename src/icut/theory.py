@@ -113,7 +113,6 @@ class WindowParams:
     p0: float = 1.0       # density lower bound
     kl1: float = 1.0      # lower constant at d = 1; grows linearly with d
     mode: str = "plain"
-    beta: float = 1.0     # Tsybakov exponent; reported, never used in checks
 
     def __post_init__(self):
         if self.mode not in WINDOW_MODES:
@@ -122,7 +121,7 @@ class WindowParams:
             raise ValueError("nu must lie in (0, 1)")
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
-        for name in ("n", "delta", "omega", "p0", "kl1", "beta"):
+        for name in ("n", "delta", "omega", "p0", "kl1"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 

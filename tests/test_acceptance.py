@@ -262,7 +262,7 @@ def test_criterion_09_external_embedding_path(tmp_path):
     rep = icut.load_external_representation(noisy, emb_path)
     table = icut.build_neighbor_table(rep, 20)
     z = icut.cutstats_scores(rep, table, icut.CutstatsConfig(k=20, tau=0.4))
-    sel = icut.select_smallest(z, 0.4, noisy.ids, representation_kind="external", k=20)
+    sel = icut.SelectionResult(scores=z, selected=icut.rank_select(z, noisy.ids, 0.4))
     acc = 100.0 * icut.subset_accuracy(sel, noisy)
 
     lines = emb_path.read_text().rstrip("\n").split("\n")

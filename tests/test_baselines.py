@@ -1,12 +1,12 @@
-"""Comparison selectors: random, entropy, forgetting, herding."""
+"""Comparison selectors: random, entropy and forgetting scores ranked by
+``rank_select``, and herding."""
 
 import numpy as np
 import pytest
 
-from icut import (LabeledDataset, NoiseSpec, RepresentedDataset,
-                  compute_representation, entropy_select, forget_select,
-                  herding_select, inject_label_noise, random_select,
-                  round_half_up, subset_accuracy)
+from icut import (LabeledDataset, NoiseSpec, RepresentedDataset, SelectionResult,
+                  compute_representation, herding_select, inject_label_noise,
+                  random_scores, rank_select, round_half_up, subset_accuracy)
 from icut.baselines import _class_shares
 from conftest import random_dataset
 
@@ -14,29 +14,34 @@ from conftest import random_dataset
 # --- random ---------------------------------------------------------------------
 
 
+def _random_ids(ds, tau, seed=0):
+    return rank_select(random_scores(ds.n, seed), ds.ids, tau)
+
+
 def test_random_full_tau_keeps_all_ids():
     ds = random_dataset(10, 2, seed=1)
-    assert set(random_select(ds, 1.0).selected) == set(ds.ids)
+    assert set(_random_ids(ds, 1.0)) == set(ds.ids)
 
 
 def test_random_is_deterministic_per_seed():
     ds = random_dataset(100, 2, seed=2)
-    a = random_select(ds, 0.4, seed=5)
-    b = random_select(ds, 0.4, seed=5)
-    c = random_select(ds, 0.4, seed=6)
-    assert np.array_equal(a.selected, b.selected)
-    assert not np.array_equal(np.sort(a.selected), np.sort(c.selected))
+    a = _random_ids(ds, 0.4, seed=5)
+    b = _random_ids(ds, 0.4, seed=5)
+    c = _random_ids(ds, 0.4, seed=6)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(np.sort(a), np.sort(c))
 
 
 def test_random_selects_exact_count():
     ds = random_dataset(101, 2, seed=3)
-    assert random_select(ds, 0.5).selected.size == round_half_up(0.5 * 101)
+    assert _random_ids(ds, 0.5).size == round_half_up(0.5 * 101)
 
 
 def test_random_subset_accuracy_tracks_clean_fraction():
     ds = random_dataset(20000, 1, seed=4)
     noisy = inject_label_noise(ds, NoiseSpec(0.45, seed=4))
-    sel = random_select(noisy, 0.4, seed=0)
+    scores = random_scores(noisy.n, 0)
+    sel = SelectionResult(scores=scores, selected=rank_select(scores, noisy.ids, 0.4))
     clean_fraction = np.mean(noisy.noisy_labels == noisy.true_labels)
     # 4 binomial sigmas over the 8000 retained samples
     sigma = np.sqrt(clean_fraction * (1 - clean_fraction) / sel.selected.size)
@@ -45,57 +50,56 @@ def test_random_subset_accuracy_tracks_clean_fraction():
 
 def test_random_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
-        random_select(random_dataset(4, 1), 0.0)
+        _random_ids(random_dataset(4, 1), 0.0)
 
 
-# --- entropy and forgetting -------------------------------------------------------
+# --- entropy and forgetting scores, ranked --------------------------------------
 
 
 def test_entropy_all_equal_falls_back_to_lowest_ids():
     ds = random_dataset(6, 1, seed=5, shuffle_ids=True)
-    sel = entropy_select(ds, np.full(6, 0.3), 0.5)
-    assert list(sel.selected) == sorted(ds.ids)[:3]
+    assert list(rank_select(np.full(6, 0.3), ds.ids, 0.5)) == sorted(ds.ids)[:3]
 
 
 def test_entropy_zero_sample_wins_smallest_slot():
     ds = random_dataset(5, 1, seed=6)
     entropy = np.array([0.5, 0.4, 0.0, 0.6, 0.2])
-    sel = entropy_select(ds, entropy, 0.2)
-    assert list(sel.selected) == [2]
+    assert list(rank_select(entropy, ds.ids, 0.2)) == [2]
 
 
 def test_entropy_full_tau_keeps_all():
     ds = random_dataset(7, 1, seed=7)
-    assert set(entropy_select(ds, np.arange(7.0), 1.0).selected) == set(ds.ids)
-
-
-def test_entropy_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="score length mismatch"):
-        entropy_select(random_dataset(5, 1), np.zeros(4), 0.5)
+    assert set(rank_select(np.arange(7.0), ds.ids, 1.0)) == set(ds.ids)
 
 
 def test_forget_zero_counts_fall_back_to_lowest_ids():
     ds = random_dataset(6, 1, seed=8)
-    sel = forget_select(ds, np.zeros(6), 0.5)
-    assert list(sel.selected) == [0, 1, 2]
+    assert list(rank_select(np.zeros(6), ds.ids, 0.5)) == [0, 1, 2]
 
 
 def test_forget_sentinel_sample_is_excluded():
     ds = random_dataset(4, 1, seed=9)
     counts = np.array([1.0, 20.0, 0.0, 2.0])  # sample 1 never learned
-    sel = forget_select(ds, counts, 0.75)
-    assert 1 not in sel.selected
-    assert sel.selected.size == 3
+    selected = rank_select(counts, ds.ids, 0.75)
+    assert 1 not in selected
+    assert selected.size == 3
 
 
 def test_forget_full_tau_keeps_all():
     ds = random_dataset(5, 1, seed=10)
-    assert set(forget_select(ds, np.arange(5.0), 1.0).selected) == set(ds.ids)
+    assert set(rank_select(np.arange(5.0), ds.ids, 1.0)) == set(ds.ids)
+
+
+def test_entropy_rejects_length_mismatch():
+    ids = random_dataset(5, 1).ids
+    with pytest.raises(ValueError, match="equal length"):
+        rank_select(np.zeros(4), ids, 0.5)
 
 
 def test_forget_rejects_length_mismatch():
-    with pytest.raises(ValueError, match="score length mismatch"):
-        forget_select(random_dataset(5, 1), np.zeros(6), 0.5)
+    ids = random_dataset(5, 1).ids
+    with pytest.raises(ValueError, match="equal length"):
+        rank_select(np.zeros(6), ids, 0.5)
 
 
 # --- herding -------------------------------------------------------------------

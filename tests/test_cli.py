@@ -59,6 +59,25 @@ def test_gen_requires_group(capsys, tmp_path):
     assert "--group is required" in err
 
 
+def test_gen_range_takes_a_negative_bound_in_exponent_form(tmp_path):
+    flag, cfg = tmp_path / "flag.csv", tmp_path / "cfg.csv"
+    config = tmp_path / "range.json"
+    config.write_text(json.dumps({"feature_range": [-1e-3, 1]}))
+    base = ["gen", "--group", "permutation", "--n-train", "400", "--n-test", "20",
+            "--out-test", str(tmp_path / "test.csv")]
+    assert main(base + ["--range", "-1e-3", "1", "--out-train", str(flag)]) == 0
+    assert main(base + ["--config", str(config), "--out-train", str(cfg)]) == 0
+    feats = read_dataset_csv(flag).features
+    assert feats.min() >= -1e-3 and feats.max() <= 1.0
+    assert flag.read_bytes() == cfg.read_bytes()
+
+
+@pytest.mark.parametrize("verb", ["gen", "exp", "ablate"])
+def test_every_range_verb_parses_exponent_form_negatives(verb):
+    values = vars(cli._parser().parse_args([verb, "--range", "-1e-3", "-.5E+1"]))
+    assert values["feature_range"] == [-1e-3, -5.0]
+
+
 def test_corrupt_flips_labels(workdir):
     noisy = read_dataset_csv(workdir / "noisy.csv")
     clean = read_dataset_csv(workdir / "train.csv")
@@ -307,6 +326,27 @@ def test_ablate_requires_kind(capsys):
     assert "unknown ablation kind" in err
 
 
+BAD_GRIDS = {
+    "dimension_sweep_on_a_file": (["dimension_sweep", "--grid", "4"], "synthetic source"),
+    "k_sweep_with_zero": (["k_sweep", "--grid", "3,0"], "k must be positive"),
+    "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
+}
+
+
+@pytest.mark.parametrize("argv,message", BAD_GRIDS.values(), ids=list(BAD_GRIDS))
+def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
+        capsys, workdir, tmp_path, monkeypatch, argv, message):
+    def no_run(*args):
+        raise AssertionError("a grid point ran")
+    monkeypatch.setattr("icut.experiment.run_seed", no_run)
+    code, _, err = run_cli(capsys, "ablate", "--ablation", *argv,
+                           "--train", str(workdir / "noisy.csv"), "--seed-list", "0",
+                           "--no-train", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.glob("ablation_*")) == []
+
+
 def test_validate_theory_passes_quickly(capsys):
     code, out, _ = run_cli(capsys, "validate-theory",
                            "--trials", "20000", "--tuples", "2")
@@ -364,6 +404,12 @@ def test_config_values_are_checked_like_flags(capsys, workdir, tmp_path, cfg, me
                            "--config", str(path), "--out-subset", str(tmp_path / "s.txt"))
     assert code == 2
     assert message in err
+
+
+def test_bounds_has_no_beta_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--d-range", "1:3", "--beta", "1"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("verb", ["exp", "ablate", "bounds", "eval"])

@@ -90,29 +90,9 @@ def test_index_of_unknown_id_raises():
 # --- SelectionResult ---------------------------------------------------------
 
 
-def test_selection_rejects_unknown_method():
-    with pytest.raises(ValueError, match="unknown method"):
-        SelectionResult(scores=np.zeros(2), selected=np.arange(1), method="magic",
-                        representation_kind="identity", tau=0.5)
-
-
-def test_selection_rejects_unknown_representation():
-    with pytest.raises(ValueError, match="unknown representation"):
-        SelectionResult(scores=np.zeros(2), selected=np.arange(1), method="random",
-                        representation_kind="fourier", tau=0.5)
-
-
 def test_selection_rejects_nonfinite_scores():
     with pytest.raises(ValueError, match="finite"):
-        SelectionResult(scores=np.array([0.0, np.nan]), selected=np.arange(1),
-                        method="random", representation_kind="identity", tau=0.5)
-
-
-def test_selection_rejects_bad_tau():
-    for tau in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError, match="tau"):
-            SelectionResult(scores=np.zeros(2), selected=np.arange(1),
-                            method="random", representation_kind="identity", tau=tau)
+        SelectionResult(scores=np.array([0.0, np.nan]), selected=np.arange(1))
 
 
 # --- Metrics -----------------------------------------------------------------
@@ -136,8 +116,7 @@ def test_metrics_with_values_replaces_fields():
 
 def _selection_of(ids):
     ids = np.asarray(ids, dtype=np.int64)
-    return SelectionResult(scores=np.zeros(ids.size), selected=ids, method="full",
-                           representation_kind="identity", tau=1.0)
+    return SelectionResult(scores=np.zeros(ids.size), selected=ids)
 
 
 def test_subset_accuracy_noiseless_is_one():
@@ -165,8 +144,7 @@ def test_subset_accuracy_requires_truth():
 
 def test_subset_accuracy_rejects_empty_selection():
     ds = random_dataset(4, 1)
-    sel = SelectionResult(scores=np.zeros(4), selected=np.empty(0, dtype=int),
-                          method="full", representation_kind="identity", tau=1.0)
+    sel = SelectionResult(scores=np.zeros(4), selected=np.empty(0, dtype=int))
     with pytest.raises(ValueError, match="empty selection"):
         subset_accuracy(sel, ds)
 

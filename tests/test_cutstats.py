@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from icut import (CutstatsConfig, LabeledDataset, build_neighbor_table,
-                  class_priors, compute_representation, cutstats_scores,
-                  select_smallest, subset_accuracy)
+from icut import (CutstatsConfig, LabeledDataset, SelectionResult,
+                  build_neighbor_table, class_priors, compute_representation,
+                  cutstats_scores, rank_select, subset_accuracy)
 from icut.datagen import haar_rotation
 from conftest import oracle_zscores, random_dataset
 
@@ -138,27 +138,17 @@ def test_scores_are_deterministic():
 
 
 def test_select_full_tau_retains_everything():
-    sel = select_smallest(np.array([3.0, 1.0, 2.0]), 1.0, np.array([10, 20, 30]))
-    assert set(sel.selected) == {10, 20, 30}
-    assert sel.method == "cutstats"
+    selected = rank_select(np.array([3.0, 1.0, 2.0]), np.array([10, 20, 30]), 1.0)
+    assert set(selected) == {10, 20, 30}
 
 
 def test_select_takes_smallest_half():
     scores = np.array([-1.0, -1.0, 1.0, 1.0])
-    sel = select_smallest(scores, 0.5, np.arange(4))
-    assert list(sel.selected) == [0, 1]
-
-
-def test_select_records_provenance():
-    sel = select_smallest(np.zeros(4), 0.5, np.arange(4),
-                          representation_kind="l2norm", k=7)
-    assert sel.representation_kind == "l2norm"
-    assert sel.k == 7
-    assert sel.tau == 0.5
+    assert list(rank_select(scores, np.arange(4), 0.5)) == [0, 1]
 
 
 def test_clean_data_selection_is_always_pure():
     ds = random_dataset(40, 2, seed=24)  # noisy labels equal the truth
     z = _scores(ds, k=3)
-    sel = select_smallest(z, 0.4, ds.ids)
+    sel = SelectionResult(scores=z, selected=rank_select(z, ds.ids, 0.4))
     assert subset_accuracy(sel, ds) == 1.0

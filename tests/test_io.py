@@ -99,9 +99,7 @@ def test_embedding_rejects_ragged_row(tmp_path):
 
 
 def test_selection_round_trip(tmp_path):
-    sel = SelectionResult(scores=np.array([0.25, -1.5, 3.0]),
-                          selected=np.array([1]), method="cutstats",
-                          representation_kind="l2norm", tau=1 / 3)
+    sel = SelectionResult(scores=np.array([0.25, -1.5, 3.0]), selected=np.array([1]))
     ids = np.array([4, 5, 6])
     path = tmp_path / "scores.csv"
     write_selection_csv(sel, ids, path)
@@ -111,8 +109,7 @@ def test_selection_round_trip(tmp_path):
 
 
 def test_selection_rejects_length_mismatch(tmp_path):
-    sel = SelectionResult(scores=np.array([0.1, 0.2]), selected=np.array([0]),
-                          method="random", representation_kind="identity", tau=0.5)
+    sel = SelectionResult(scores=np.array([0.1, 0.2]), selected=np.array([0]))
     with pytest.raises(ValueError, match="score length mismatch"):
         write_selection_csv(sel, np.array([1, 2, 3]), tmp_path / "s.csv")
 
