@@ -24,23 +24,15 @@ def random_scores(n: int, seed: int) -> np.ndarray:
 
 
 def _class_shares(labels: np.ndarray, num_classes: int, total: int) -> np.ndarray:
-    """Floor of each class's proportional share; remainders to largest classes."""
-    n = labels.size
+    """Floor of each class's proportional share; remainders to largest classes.
+
+    For total <= n the remainder is below the number of non-empty classes,
+    each of which is then under its size, so one extra pick each suffices.
+    """
     sizes = np.bincount(labels, minlength=num_classes)
-    shares = (total * sizes) // n
-    remainder = total - int(shares.sum())
+    shares = (total * sizes) // labels.size
     by_size = np.lexsort((np.arange(num_classes), -sizes))
-    while remainder > 0:
-        moved = False
-        for c in by_size:
-            if remainder == 0:
-                break
-            if shares[c] < sizes[c]:
-                shares[c] += 1
-                remainder -= 1
-                moved = True
-        if not moved:  # total > n can't happen; guard against an infinite loop
-            break
+    shares[by_size[: total - int(shares.sum())]] += 1
     return shares
 
 

@@ -100,18 +100,17 @@ def _given(v, *same, **renamed) -> dict:
     return {field: v[flag] for field, flag in pairs.items() if flag in v}
 
 
-def _synthetic_spec(v, **extra) -> SyntheticSpec:
-    return SyntheticSpec(**_given(v, "group", "d", "n_train", "n_test", "feature_range"),
-                         **extra)
+def _synthetic_spec(v) -> SyntheticSpec:
+    return SyntheticSpec(**_given(v, "group", "d", "n_train", "n_test", "feature_range"))
 
 
 def _cutstats_config(v) -> CutstatsConfig:
     return CutstatsConfig(**_given(v, "k", "tau", "priors"))
 
 
-def _mlp_config(v, **extra) -> MlpConfig:
-    return MlpConfig(**_given(v, "epochs", "batch_size", "num_classes",
-                              hidden_units="hidden", learning_rate="lr"), **extra)
+def _mlp_config(v) -> MlpConfig:
+    return MlpConfig(**_given(v, "epochs", "batch_size",
+                              hidden_units="hidden", learning_rate="lr"))
 
 
 def _read_dataset(path, **kw):
@@ -124,7 +123,7 @@ def _read_dataset(path, **kw):
 def _cmd_gen(v) -> int:
     if "group" not in v:
         raise UsageError("--group is required")
-    train, test = generate_synthetic(_cfg(_synthetic_spec, v, **_given(v, "seed")))
+    train, test = generate_synthetic(_cfg(_synthetic_spec, v), **_given(v, "seed"))
     io.write_dataset_csv(train, v.get("out_train", "train.csv"))
     io.write_dataset_csv(test, v.get("out_test", "test.csv"))
     return 0
@@ -136,8 +135,8 @@ def _cmd_gen(v) -> int:
 def _cmd_corrupt(v) -> int:
     if not {"infile", "outfile", "p"} <= v.keys():
         raise UsageError("--in, --out and --p are required")
-    noise = _cfg(NoiseSpec, **_given(v, "num_classes", "seed", flip_probability="p"))
-    noisy = inject_label_noise(_read_dataset(v["infile"]), noise)
+    noise = _cfg(NoiseSpec, **_given(v, "num_classes", flip_probability="p"))
+    noisy = inject_label_noise(_read_dataset(v["infile"]), noise, **_given(v, "seed"))
     io.write_dataset_csv(noisy, v["outfile"])
     return 0
 
@@ -160,12 +159,11 @@ def _cmd_represent(v) -> int:
 def _cmd_select(v) -> int:
     if "infile" not in v:
         raise UsageError("--in is required")
-    mlp = _cfg(_mlp_config, v, **_given(v, "seed"))   # mlp.seed is the run seed
     config = _cfg(ExperimentConfig, train_path=v["infile"], cutstats=_cfg(_cutstats_config, v),
-                  mlp=mlp, seeds=(mlp.seed,),
+                  mlp=_cfg(_mlp_config, v),
                   **_given(v, "method", representation_kind="kind", embedding_path="embedding"))
     dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
-    sel, _ = select(config, mlp.seed, dataset)
+    sel, _ = select(config, dataset, **_given(v, "seed"))
 
     if "out_scores" in v:
         io.write_selection_csv(sel, dataset.ids, v["out_scores"])
@@ -181,11 +179,11 @@ def _cmd_select(v) -> int:
 def _cmd_train(v) -> int:
     if not {"infile", "out_model"} <= v.keys():
         raise UsageError("--in and --out are required")
-    mlp = _cfg(_mlp_config, v, **_given(v, "seed"))
+    mlp = _cfg(_mlp_config, v)
     dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
     if "subset" in v:
         dataset = dataset.restrict(_staged("load", io.read_subset, v["subset"]))
-    model = train_mlp(dataset, replace(mlp, num_classes=dataset.num_classes))
+    model = train_mlp(dataset, mlp, **_given(v, "seed"))
     save_classifier(model, v["out_model"])
     return 0
 
@@ -269,7 +267,7 @@ def _cmd_ablate(v) -> int:
 
 def _cmd_validate_theory(v) -> int:
     failures = 0
-    for name, ok, detail in theory_checks(**_given(v, "trials", "tuples", "seed")):
+    for name, ok, detail in _cfg(theory_checks, **_given(v, "trials", "tuples", "seed")):
         print(f"{'PASS' if ok else 'FAIL'}: {name}" + (f" ({detail})" if detail else ""))
         failures += not ok
     return 0 if failures == 0 else 1

@@ -39,18 +39,17 @@ DEFAULT_DIM = {"orthogonal": 100, "permutation": 5}
 @dataclass(frozen=True)
 class SyntheticSpec:
     group: str
-    d: int = 0                      # 0 = group default
+    d: Optional[int] = None         # None = group default
     n_train: int = 20000
     n_test: int = 5000
     feature_range: Optional[Tuple[float, float]] = None  # None = group default
     params: Tuple[float, ...] = ORTHOGONAL_PARAMS
     l: int = PERMUTATION_POWERS
-    seed: int = 0
 
     def __post_init__(self):
         if self.group not in GROUPS:
             raise ValueError(f"unknown group {self.group!r}")
-        if self.d == 0:
+        if self.d is None:
             object.__setattr__(self, "d", DEFAULT_DIM[self.group])
         if self.feature_range is None:
             object.__setattr__(self, "feature_range", DEFAULT_RANGE[self.group])
@@ -73,7 +72,6 @@ class SyntheticSpec:
 class NoiseSpec:
     flip_probability: float
     num_classes: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.flip_probability <= 1.0):
@@ -103,13 +101,14 @@ def generating_function(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
     return _h_permutation(X, spec.l)
 
 
-def generate_synthetic(spec: SyntheticSpec) -> Tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic (train, test) splits for the spec.
+def generate_synthetic(spec: SyntheticSpec,
+                       seed: int = 0) -> Tuple[LabeledDataset, LabeledDataset]:
+    """Deterministic (train, test) splits for the spec and seed.
 
     Both splits are labeled by one function: the orthogonal threshold is
     zero, the permutation threshold is the train-split mean of h.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(spec.seed) & (2**63 - 1), 11]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 11]))
     lo, hi = spec.feature_range
     total = spec.n_train + spec.n_test
     X = rng.uniform(lo, hi, size=(total, spec.d))
@@ -164,14 +163,15 @@ def apply_group_action(group: str, x: np.ndarray, seed) -> np.ndarray:
     raise ValueError(f"unknown group {group!r}")
 
 
-def inject_label_noise(dataset: LabeledDataset, noise: NoiseSpec) -> LabeledDataset:
+def inject_label_noise(dataset: LabeledDataset, noise: NoiseSpec,
+                       seed: int = 0) -> LabeledDataset:
     """Flip each true label w.p. p to a uniformly chosen different class."""
     if dataset.true_labels is None:
         raise ValueError("ground truth unavailable")
     C = noise.num_classes
     if dataset.num_classes > C:
         raise ValueError("noise spec covers fewer classes than the dataset")
-    rng = np.random.default_rng(np.random.SeedSequence([int(noise.seed) & (2**63 - 1), 13]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 13]))
     n = dataset.n
     flips = rng.random(n) < noise.flip_probability
     offsets = rng.integers(1, C, size=n)

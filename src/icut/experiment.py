@@ -79,18 +79,22 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if len(self.seeds) == 0:
             raise ValueError("seeds must be non-empty")
+        if self.invariance_target is not None:
+            if self.invariance_target < 0:
+                raise ValueError("target error must be non-negative")
+            if self.representation_kind != "l2norm":
+                raise ValueError("a target error needs the l2norm representation")
 
 
 def _obtain_data(config: ExperimentConfig, seed: int):
     if config.synthetic is not None:
-        spec = replace(config.synthetic, seed=seed)
-        return _staged("generate", generate_synthetic, spec)
+        return _staged("generate", generate_synthetic, config.synthetic, seed)
     train = _staged("load", io.read_dataset_csv, config.train_path)
     test = _staged("load", io.read_dataset_csv, config.test_path) if config.test_path else None
     return train, test
 
 
-def select(config: ExperimentConfig, seed: int, noisy: LabeledDataset):
+def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0):
     """Run the configured selector on ``noisy``; returns (selection, realized_error).
 
     The single selector dispatch: ``run_seed`` and ``icut select`` both call it.
@@ -104,8 +108,7 @@ def select(config: ExperimentConfig, seed: int, noisy: LabeledDataset):
     if config.method == "random":
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
-        scorer = _staged("train", train_mlp, noisy,
-                         replace(config.mlp, num_classes=noisy.num_classes, seed=seed))
+        scorer = _staged("train", train_mlp, noisy, config.mlp, seed)
         scores = (entropy_scores(scorer, noisy) if config.method == "entropy"
                   else forgetting_counts(scorer.trace))
     else:  # representation-based selectors
@@ -130,11 +133,10 @@ def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
     """One deterministic pipeline pass; extras carry the realized knob values."""
     train, test = _obtain_data(config, seed)
     if config.noise.flip_probability > 0.0:
-        noisy = _staged("corrupt", inject_label_noise, train,
-                        replace(config.noise, seed=seed))
+        noisy = _staged("corrupt", inject_label_noise, train, config.noise, seed)
     else:
         noisy = train
-    selection, realized = select(config, seed, noisy)
+    selection, realized = select(config, noisy, seed)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     if noisy.true_labels is not None:
         metrics = metrics.with_values(
@@ -151,8 +153,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
                                           gamma_hat=1.0 - metrics.subset_accuracy)
     if test is not None and config.train_downstream:
         sub = noisy.restrict(selection.selected)
-        model = _staged("train", train_mlp, sub,
-                        replace(config.mlp, num_classes=noisy.num_classes, seed=seed))
+        model = _staged("train", train_mlp, sub, config.mlp, seed)
         scored = _staged("evaluate", evaluate, model, test)
         metrics = metrics.with_values(classifier_accuracy=scored.classifier_accuracy,
                                       balanced_error=scored.balanced_error)
@@ -233,19 +234,12 @@ def run_ablation(kind: str, config: ExperimentConfig, grid: Sequence) -> dict:
         realized = [x["realized_error"] for _, x in runs]
         realized_mean = (float(np.mean([r for r in realized if r is not None]))
                          if any(r is not None for r in realized) else float(point))
-        row = (float(point), realized_mean, summary["subset_accuracy"],
-               summary["classifier_accuracy"])
-        points.append(row)
-        csv_rows.append([io.format_float(point), io.format_float(realized_mean),
-                         io.format_float(summary["subset_accuracy"][0]),
-                         io.format_float(summary["subset_accuracy"][1]),
-                         io.format_float(summary["classifier_accuracy"][0]),
-                         io.format_float(summary["classifier_accuracy"][1])])
-        txt_rows.append([io.format_float(point), f"{realized_mean:.4f}",
-                         _fmt_pct(summary["subset_accuracy"][0]),
-                         _fmt_pct(summary["subset_accuracy"][1]),
-                         _fmt_pct(summary["classifier_accuracy"][0]),
-                         _fmt_pct(summary["classifier_accuracy"][1])])
+        subset, classifier = summary["subset_accuracy"], summary["classifier_accuracy"]
+        points.append((float(point), realized_mean, subset, classifier))
+        stats = subset + classifier                 # two (mean, std) pairs
+        csv_rows.append([io.format_float(v) for v in (point, realized_mean) + stats])
+        txt_rows.append([io.format_float(point), f"{realized_mean:.4f}"]
+                        + [_fmt_pct(v) for v in stats])
     csv_path, txt_path = _staged("report", _emit, config.output_dir,
                                  f"ablation_{kind}", header, csv_rows, txt_rows)
     return {"rows": points, "csv_path": csv_path, "txt_path": txt_path}

@@ -43,7 +43,7 @@ def read_lines(path) -> List[str]:
     return text.rstrip("\n").split("\n") if text else []
 
 
-# --- dataset CSV: id,y,yhat,f0..f{d-1}; y empty when truth is unknown ------
+# --- dataset CSV: id,y,yhat,f0..f{d-1}; y empty on every row if truth is unknown
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
@@ -66,7 +66,7 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
     ids = np.empty(n, dtype=np.int64)
     yhat = np.empty(n, dtype=np.int64)
     truth = np.empty(n, dtype=np.int64)
-    have_truth = True
+    known = np.ones(n, dtype=bool)
     feats = np.empty((n, d), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
         parts = line.split(",")
@@ -74,11 +74,15 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
             raise ValueError(f"malformed dataset row {i + 1}")
         ids[i] = int(parts[0])
         if parts[1] == "":
-            have_truth = False
+            known[i] = False
         else:
             truth[i] = int(parts[1])
         yhat[i] = int(parts[2])
         feats[i] = [float(v) for v in parts[3:]]
+    have_truth = bool(known.all())
+    if known.any() and not have_truth:
+        raise ValueError(f"dataset row {int(np.argmin(known)) + 1} has no true label, "
+                         "but other rows do")
     if num_classes is None:
         top = int(yhat.max())
         if have_truth:
@@ -135,10 +139,13 @@ def read_selection_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     if not lines or lines[0] != "id,score":
         raise ValueError("not a selection CSV")
     ids, scores = [], []
-    for line in lines[1:]:
-        i, s = line.split(",")
-        ids.append(int(i))
-        scores.append(float(s))
+    for row, line in enumerate(lines[1:], 1):
+        try:
+            i, s = line.split(",")
+            ids.append(int(i))
+            scores.append(float(s))
+        except ValueError:
+            raise ValueError(f"malformed selection row {row}") from None
     return np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64)
 
 
@@ -147,7 +154,13 @@ def write_subset(ids: np.ndarray, path) -> None:
 
 
 def read_subset(path) -> np.ndarray:
-    return np.asarray([int(v) for v in read_lines(path)], dtype=np.int64)
+    ids = []
+    for row, line in enumerate(read_lines(path), 1):
+        try:
+            ids.append(int(line))
+        except ValueError:
+            raise ValueError(f"malformed subset line {row}") from None
+    return np.asarray(ids, dtype=np.int64)
 
 
 # --- feasibility-window CSV and generic report helpers ----------------------

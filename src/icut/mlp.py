@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -29,11 +29,9 @@ class MlpConfig:
     epochs: int = 20
     batch_size: int = 1024
     learning_rate: float = 1e-2
-    num_classes: int = 2
-    seed: int = 0
 
     def __post_init__(self):
-        if min(self.hidden_units, self.epochs, self.batch_size, self.num_classes) < 1:
+        if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("all MLP config counts must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
@@ -48,13 +46,9 @@ class TrainedClassifier:
     num_classes: int
     trace: Optional[np.ndarray] = None  # epochs x n_train correctness bits
 
-    @property
-    def input_dim(self) -> int:
-        return self.W1.shape[0]
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
+        if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
             raise ValueError("feature dimension mismatch")
         H = np.maximum(X @ self.W1 + self.b1, 0.0)
         Z = H @ self.W2 + self.b2
@@ -122,25 +116,26 @@ def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
     return float(loss), [gW1, gb1, gW2, gb2]
 
 
-def train_mlp(train: LabeledDataset, config: MlpConfig) -> TrainedClassifier:
-    """Mini-batch Adam training with a per-epoch correctness trace."""
+def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0) -> TrainedClassifier:
+    """Mini-batch Adam over ``train.num_classes`` classes with a per-epoch correctness trace."""
     if train.n == 0:
         raise ValueError("empty selection")
     X = train.features
     y = train.noisy_labels
-    out_units = 1 if config.num_classes == 2 else config.num_classes
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed) & (2**63 - 1), 23]))
+    C = train.num_classes
+    out_units = 1 if C == 2 else C
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 23]))
     params = init_params(train.d, config.hidden_units, out_units, rng)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     t = 0
     trace = np.zeros((config.epochs, train.n), dtype=bool)
-    model = TrainedClassifier(*params, num_classes=config.num_classes)
+    model = TrainedClassifier(*params, num_classes=C)
     for epoch in range(config.epochs):
         order = rng.permutation(train.n)
         for start in range(0, train.n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            _, grads = loss_and_grads(params, X[idx], y[idx], config.num_classes)
+            _, grads = loss_and_grads(params, X[idx], y[idx], C)
             t += 1
             for i, g in enumerate(grads):
                 m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
@@ -148,7 +143,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig) -> TrainedClassifier:
                 mhat = m[i] / (1.0 - ADAM_BETA1**t)
                 vhat = v[i] / (1.0 - ADAM_BETA2**t)
                 params[i] -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        model = TrainedClassifier(*params, num_classes=config.num_classes)
+        model = TrainedClassifier(*params, num_classes=C)
         trace[epoch] = model.predict(X) == y
     model.trace = trace
     return model

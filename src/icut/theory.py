@@ -93,14 +93,8 @@ def unit_ball_log_volume(d: int) -> Tuple[float, Optional[float]]:
     if d < 1:
         raise ValueError("d must be at least 1")
     log_v = 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d + 1.0)
-    try:
-        v = math.exp(log_v)
-    except OverflowError:
-        v = None
-    else:
-        if v == 0.0 or math.isinf(v):
-            v = None
-    return log_v, v
+    v = math.exp(log_v)     # V_d peaks near 5.26 at d = 5, so exp can only underflow
+    return log_v, (v if v > 0.0 else None)
 
 
 @dataclass(frozen=True)
@@ -199,6 +193,11 @@ class Prop1Report:
                 and self.gamma_dev <= n_sigma * self.gamma_sigma + 1e-15)
 
 
+def _check_prop1_trials(trials: int) -> None:
+    if trials < 10**4:
+        raise ValueError("trials must be at least 10^4")
+
+
 def validate_prop1_monte_carlo(alpha: float, gamma: float,
                                lambda0: float, lambda1: float,
                                trials: int = 10**6, seed: int = 0) -> Prop1Report:
@@ -209,8 +208,7 @@ def validate_prop1_monte_carlo(alpha: float, gamma: float,
     them are a = alpha(1-2*gamma)/(1-alpha-gamma) and the mirror image.
     Requires alpha + gamma < 1 so those channels exist.
     """
-    if trials < 10**4:
-        raise ValueError("trials must be at least 10^4")
+    _check_prop1_trials(trials)
     if alpha + gamma >= 1.0:
         raise ValueError("alpha + gamma must be below 1")
     denom = 1.0 - alpha - gamma
@@ -300,14 +298,19 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
 
 
 def theory_checks(trials: int = 10**6, tuples: int = 20, seed: int = 0):
-    """Yield ``(name, passed, detail)`` for each Monte Carlo and closed-form check.
+    """An iterator of ``(name, passed, detail)``, one per Monte Carlo and closed-form check.
 
     The propagation formula at the worked point and on ``tuples`` random
     tuples, the corollary on its boundary and over a grid, and the sorted
-    density factor at d = 2 and 3.
+    density factor at d = 2 and 3.  Bad counts raise here, before any check runs.
     """
     if tuples < 1:
         raise ValueError("tuples must be positive")
+    _check_prop1_trials(trials)
+    return _run_checks(trials, tuples, seed)
+
+
+def _run_checks(trials: int, tuples: int, seed: int):
     report = validate_prop1_monte_carlo(0.45, 0.45, 0.74, 0.74, trials=trials, seed=seed)
     yield ("propagation worked point 0.45/0.45/0.74/0.74", report.within(3.0),
            f"predicted {report.alpha_s_pred:.4f} empirical {report.alpha_s_emp:.4f}")

@@ -255,8 +255,8 @@ def test_criterion_09_external_embedding_path(tmp_path):
     ids = np.arange(n)
     base = icut.LabeledDataset(features=emb, noisy_labels=true,
                                num_classes=num_classes, ids=ids, true_labels=true)
-    noisy = icut.inject_label_noise(base, icut.NoiseSpec(0.45, num_classes=num_classes,
-                                                         seed=7))
+    noisy = icut.inject_label_noise(base, icut.NoiseSpec(0.45, num_classes=num_classes),
+                                    seed=7)
     emb_path = tmp_path / "embedding.csv"
     io.write_embedding_csv(ids, emb, emb_path)
     rep = icut.load_external_representation(noisy, emb_path)

@@ -39,7 +39,7 @@ def test_random_selects_exact_count():
 
 def test_random_subset_accuracy_tracks_clean_fraction():
     ds = random_dataset(20000, 1, seed=4)
-    noisy = inject_label_noise(ds, NoiseSpec(0.45, seed=4))
+    noisy = inject_label_noise(ds, NoiseSpec(0.45), seed=4)
     scores = random_scores(noisy.n, 0)
     sel = SelectionResult(scores=scores, selected=rank_select(scores, noisy.ids, 0.4))
     clean_fraction = np.mean(noisy.noisy_labels == noisy.true_labels)

@@ -155,7 +155,7 @@ def test_select_cli_matches_library_selector(capsys, workdir, tmp_path, method, 
                               representation_kind=kind, embedding_path=str(embedding),
                               cutstats=CutstatsConfig(k=5, tau=0.5),
                               mlp=MlpConfig(epochs=2, batch_size=32), seeds=(3,))
-    expected, _ = select(config, 3, dataset)
+    expected, _ = select(config, dataset, 3)
     ids, scores = read_selection_csv(scores_path)
     assert np.array_equal(ids, dataset.ids)
     assert np.array_equal(scores, expected.scores)
@@ -330,6 +330,8 @@ BAD_GRIDS = {
     "dimension_sweep_on_a_file": (["dimension_sweep", "--grid", "4"], "synthetic source"),
     "k_sweep_with_zero": (["k_sweep", "--grid", "3,0"], "k must be positive"),
     "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
+    "invariance_error_with_negative": (["invariance_error", "--grid", "0.1,-0.1"],
+                                       "target error must be non-negative"),
 }
 
 
@@ -345,6 +347,48 @@ def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
     assert code == 2
     assert message in err
     assert list(tmp_path.glob("ablation_*")) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--target-error", "-0.1"], "target error must be non-negative"),
+    (["--kind", "identity", "--target-error", "0.1"], "needs the l2norm representation"),
+], ids=["negative", "identity_kind"])
+def test_exp_bad_target_error_is_a_usage_error_before_data_generation(
+        capsys, tmp_path, monkeypatch, argv, message):
+    def no_generation(*args, **kw):
+        raise AssertionError("data was generated")
+    monkeypatch.setattr("icut.experiment.generate_synthetic", no_generation)
+    code, _, err = run_cli(capsys, "exp", "--group", "orthogonal", "--d", "6",
+                           "--n-train", "120", "--n-test", "60", "--seed-list", "0",
+                           "--out-dir", str(tmp_path), *argv)
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--group", "orthogonal", "--d", "0"],
+    ["ablate", "--ablation", "dimension_sweep", "--grid", "0,3", "--group", "orthogonal",
+     "--n-train", "120", "--n-test", "60", "--seed-list", "0", "--no-train"],
+], ids=["gen", "dimension_sweep"])
+def test_zero_dimension_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "d and split sizes must be positive" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--trials", "0"], "trials must be at least 10^4"),
+    (["--tuples", "0"], "tuples must be positive"),
+], ids=["trials", "tuples"])
+def test_validate_theory_bad_counts_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, "validate-theory", *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_validate_theory_passes_quickly(capsys):

@@ -40,6 +40,8 @@ def test_spec_rejects_empty_splits():
         SyntheticSpec(group="orthogonal", n_train=0)
     with pytest.raises(ValueError, match="positive"):
         SyntheticSpec(group="orthogonal", n_test=0)
+    with pytest.raises(ValueError, match="positive"):
+        SyntheticSpec(group="orthogonal", d=0)      # None, not 0, means the group default
 
 
 # --- generating functions ----------------------------------------------------
@@ -85,19 +87,18 @@ def test_permutation_generator_is_symmetric():
 
 
 def test_generation_is_deterministic_per_seed():
-    spec = SyntheticSpec(group="orthogonal", d=8, n_train=200, n_test=50, seed=5)
-    a_train, a_test = generate_synthetic(spec)
-    b_train, b_test = generate_synthetic(spec)
+    spec = SyntheticSpec(group="orthogonal", d=8, n_train=200, n_test=50)
+    a_train, a_test = generate_synthetic(spec, seed=5)
+    b_train, b_test = generate_synthetic(spec, seed=5)
     assert np.array_equal(a_train.features, b_train.features)
     assert np.array_equal(a_test.features, b_test.features)
     assert np.array_equal(a_train.true_labels, b_train.true_labels)
 
 
 def test_different_seeds_differ():
-    spec = SyntheticSpec(group="orthogonal", d=8, n_train=200, n_test=50, seed=5)
-    other = SyntheticSpec(group="orthogonal", d=8, n_train=200, n_test=50, seed=6)
-    a, _ = generate_synthetic(spec)
-    b, _ = generate_synthetic(other)
+    spec = SyntheticSpec(group="orthogonal", d=8, n_train=200, n_test=50)
+    a, _ = generate_synthetic(spec, seed=5)
+    b, _ = generate_synthetic(spec, seed=6)
     assert not np.array_equal(a.features, b.features)
 
 
@@ -117,8 +118,8 @@ def test_features_respect_range():
 
 
 def test_permutation_threshold_is_shared_between_splits():
-    spec = SyntheticSpec(group="permutation", n_train=2000, n_test=500, seed=9)
-    train, test = generate_synthetic(spec)
+    spec = SyntheticSpec(group="permutation", n_train=2000, n_test=500)
+    train, test = generate_synthetic(spec, seed=9)
     h_train = generating_function(spec, train.features)
     threshold = h_train.mean()
     want = (generating_function(spec, test.features) >= threshold).astype(int)
@@ -126,7 +127,7 @@ def test_permutation_threshold_is_shared_between_splits():
 
 
 def test_permutation_mean_threshold_near_balance():
-    train, _ = generate_synthetic(SyntheticSpec(group="permutation", seed=0))
+    train, _ = generate_synthetic(SyntheticSpec(group="permutation"), seed=0)
     frac = train.true_labels.mean()
     assert 0.40 <= frac <= 0.60
 
@@ -134,8 +135,8 @@ def test_permutation_mean_threshold_near_balance():
 def test_labels_invariant_under_sampled_group_actions():
     # zero violations over 10^4 random (sample, action) pairs, both groups
     for group, d in (("orthogonal", 12), ("permutation", 5)):
-        spec = SyntheticSpec(group=group, d=d, n_train=800, n_test=1, seed=4)
-        train, _ = generate_synthetic(spec)
+        spec = SyntheticSpec(group=group, d=d, n_train=800, n_test=1)
+        train, _ = generate_synthetic(spec, seed=4)
         h = generating_function(spec, train.features)
         threshold = 0.0 if group == "orthogonal" else h.mean()
         rng = np.random.default_rng(11)
@@ -210,16 +211,16 @@ def test_noise_multiclass_flips_land_on_other_classes():
 def test_noise_flip_fraction_concentrates():
     # binomial 3 sigma at p=0.45, n=20000 is ~0.0106
     ds = random_dataset(20000, 1, seed=4)
-    noisy = inject_label_noise(ds, NoiseSpec(0.45, seed=4))
+    noisy = inject_label_noise(ds, NoiseSpec(0.45), seed=4)
     frac = np.mean(noisy.noisy_labels != ds.true_labels)
     assert abs(frac - 0.45) <= 0.0106
 
 
 def test_noise_is_deterministic_per_seed():
     ds = random_dataset(300, 2, seed=5)
-    a = inject_label_noise(ds, NoiseSpec(0.3, seed=1))
-    b = inject_label_noise(ds, NoiseSpec(0.3, seed=1))
-    c = inject_label_noise(ds, NoiseSpec(0.3, seed=2))
+    a = inject_label_noise(ds, NoiseSpec(0.3), seed=1)
+    b = inject_label_noise(ds, NoiseSpec(0.3), seed=1)
+    c = inject_label_noise(ds, NoiseSpec(0.3), seed=2)
     assert np.array_equal(a.noisy_labels, b.noisy_labels)
     assert not np.array_equal(a.noisy_labels, c.noisy_labels)
 

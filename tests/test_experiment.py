@@ -42,6 +42,16 @@ def test_config_rejects_empty_seeds():
         tiny_config(seeds=())
 
 
+def test_config_rejects_negative_invariance_target():
+    with pytest.raises(ValueError, match="target error must be non-negative"):
+        tiny_config(invariance_target=-0.1)
+
+
+def test_config_invariance_target_needs_l2norm():
+    with pytest.raises(ValueError, match="needs the l2norm representation"):
+        tiny_config(representation_kind="identity", invariance_target=0.1)
+
+
 def test_config_rejects_unknown_method_and_kind():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_config(method="oracle")

@@ -70,6 +70,13 @@ def test_dataset_rejects_short_row(tmp_path):
         read_dataset_csv(path)
 
 
+def test_dataset_rejects_truth_on_some_rows_only(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("id,y,yhat,f0\n0,0,0,0.5\n1,,1,1.5\n2,1,1,2.5\n")
+    with pytest.raises(ValueError, match="dataset row 2 has no true label, but other rows do"):
+        read_dataset_csv(path)
+
+
 def test_embedding_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     ids = np.array([7, 2, 9])
@@ -119,6 +126,20 @@ def test_selection_rejects_foreign_header(tmp_path):
     path.write_text("id,value\n0,0.5\n")
     with pytest.raises(ValueError, match="not a selection CSV"):
         read_selection_csv(path)
+
+
+def test_selection_rejects_malformed_row(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("id,score\n0,0.5\n1,0.25,7\n")
+    with pytest.raises(ValueError, match="malformed selection row 2"):
+        read_selection_csv(path)
+
+
+def test_subset_rejects_malformed_line(tmp_path):
+    path = tmp_path / "subset.txt"
+    path.write_text("9\n3\n1,2\n")
+    with pytest.raises(ValueError, match="malformed subset line 3"):
+        read_subset(path)
 
 
 def test_subset_round_trip(tmp_path):

@@ -79,9 +79,9 @@ def test_full_batch_loss_is_non_increasing():
 
 def test_training_is_deterministic():
     ds = _blobs(n_per=40, seed=2)
-    a = train_mlp(ds, MlpConfig(epochs=3, seed=7))
-    b = train_mlp(ds, MlpConfig(epochs=3, seed=7))
-    c = train_mlp(ds, MlpConfig(epochs=3, seed=8))
+    a = train_mlp(ds, MlpConfig(epochs=3), seed=7)
+    b = train_mlp(ds, MlpConfig(epochs=3), seed=7)
+    c = train_mlp(ds, MlpConfig(epochs=3), seed=8)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert not np.array_equal(a.W1, c.W1)
@@ -97,7 +97,7 @@ def test_trace_shape_and_last_row():
 
 def test_softmax_probabilities_sum_to_one():
     ds = random_dataset(60, 4, num_classes=4, seed=4)
-    model = train_mlp(ds, MlpConfig(epochs=2, num_classes=4))
+    model = train_mlp(ds, MlpConfig(epochs=2))
     P = model.predict_proba(ds.features)
     assert P.shape == (60, 4)
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-9
@@ -219,7 +219,7 @@ def test_save_load_round_trip(tmp_path):
 
 def test_save_load_multiclass(tmp_path):
     ds = random_dataset(30, 3, num_classes=3, seed=9)
-    model = train_mlp(ds, MlpConfig(epochs=1, num_classes=3, hidden_units=4))
+    model = train_mlp(ds, MlpConfig(epochs=1, hidden_units=4))
     path = tmp_path / "model.bin"
     save_classifier(model, path)
     loaded = load_classifier(path)

@@ -281,3 +281,10 @@ def test_window_params_default_to_the_worked_example():
 def test_theory_checks_reject_an_empty_tuple_set():
     with pytest.raises(ValueError, match="tuples must be positive"):
         next(theory_checks(trials=10**4, tuples=0))
+
+
+def test_theory_checks_reject_bad_counts_before_any_check_runs():
+    with pytest.raises(ValueError, match="tuples must be positive"):
+        theory_checks(tuples=0)
+    with pytest.raises(ValueError, match="trials must be at least 10\\^4"):
+        theory_checks(trials=9999)
