@@ -117,6 +117,14 @@ def _read_dataset(path, **kw):
     return _staged("load", io.read_dataset_csv, path, **kw)
 
 
+def _class_count(v) -> dict:
+    """``--num-classes`` for the dataset reader; below 2 it is a usage error, as in ``NoiseSpec``."""
+    given = _given(v, "num_classes")
+    if given.get("num_classes", 2) < 2:
+        raise UsageError("need at least 2 classes")
+    return given
+
+
 # --------------------------------------------------------------------- gen
 
 
@@ -162,7 +170,7 @@ def _cmd_select(v) -> int:
     config = _cfg(ExperimentConfig, train_path=v["infile"], cutstats=_cfg(_cutstats_config, v),
                   mlp=_cfg(_mlp_config, v),
                   **_given(v, "method", representation_kind="kind", embedding_path="embedding"))
-    dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
+    dataset = _read_dataset(v["infile"], **_class_count(v))
     sel, _ = select(config, dataset, **_given(v, "seed"))
 
     if "out_scores" in v:
@@ -180,7 +188,7 @@ def _cmd_train(v) -> int:
     if not {"infile", "out_model"} <= v.keys():
         raise UsageError("--in and --out are required")
     mlp = _cfg(_mlp_config, v)
-    dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
+    dataset = _read_dataset(v["infile"], **_class_count(v))
     if "subset" in v:
         dataset = dataset.restrict(_staged("load", io.read_subset, v["subset"]))
     model = train_mlp(dataset, mlp, **_given(v, "seed"))

@@ -84,6 +84,9 @@ class ExperimentConfig:
                 raise ValueError("target error must be non-negative")
             if self.representation_kind != "l2norm":
                 raise ValueError("a target error needs the l2norm representation")
+            if self.method not in ("cutstats", "herding"):
+                raise ValueError("a target error needs a representation-based method "
+                                 "(cutstats or herding)")
 
 
 def _obtain_data(config: ExperimentConfig, seed: int):

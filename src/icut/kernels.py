@@ -1,10 +1,15 @@
-"""The two quadratic kernels: exact k-nearest neighbors and greedy herding.
+"""The two kernels: exact k-nearest neighbors and greedy herding.
 
-Both are plain numpy with one implementation each, so every caller and
-every test runs the same code.  Neighbor search finds candidates with
-the gram trick on column-centered rows, then ranks them by exact squared
-distances computed from the input rows.  Herding scans every candidate
-once per pick.
+Both are plain numpy, so every install runs the same code.  Neighbor
+search has two paths, chosen by width alone.  A width-1 input (the
+l2norm representation) is sorted once by (value, rank); each row takes
+the 2k rows around it in that order as candidates, widened across any
+run of rows tied at the k-th distance past a window edge: about
+O(n log n + n k log k) work.  Wider inputs find candidates with the gram
+trick on column-centered rows: O(n^2 m) work.  Both paths rank their
+candidates by exact squared distances computed from the input rows and
+break ties by ascending rank, so both return the same (distance,
+ascending-rank) table.  Herding scans every candidate once per pick.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ from __future__ import annotations
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# k-nearest neighbors, exact brute force.
+# k-nearest neighbors, exact.
 #
 # Output contract: for each row i, the k nearest other rows by squared
 # euclidean distance, ordered by (distance, rank), where ``rank`` is the
 # caller's tie-break ordering (ascending sample id).  Returned distances
-# are exact squared distances of the selected pairs.
+# are exact squared distances of the selected pairs, ``diff . diff`` of the
+# input rows, whichever path found them.
 # ---------------------------------------------------------------------------
 
 
@@ -25,6 +31,12 @@ def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
     """k smallest (squared distance, rank) pairs per row, self excluded."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     rank = np.ascontiguousarray(rank, dtype=np.int64)
+    if X.shape[1] == 1:
+        return _sorted_scan(X[:, 0], rank, k)
+    return _gram_scan(X, rank, k)
+
+
+def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     n, m = X.shape
     pos = np.empty((n, k), dtype=np.int64)
     d2 = np.empty((n, k), dtype=np.float64)
@@ -51,6 +63,78 @@ def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
             pos[i] = cand[order]
             d2[i] = exact[order]
     return pos, d2
+
+
+def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
+    # In (value, rank) order the rounded difference x_q - x_p, and so its
+    # square, is monotone on each side of p.  The k rows on either side of p
+    # therefore hold every neighbor except ties at the k-th distance that lie
+    # past a window edge; those rows widen across the run of equal distances.
+    n = x.shape[0]
+    order = np.lexsort((rank, x))
+    xs, rs = x[order], rank[order]
+    p = np.arange(n)
+    w = min(2 * k, n - 1)                      # candidates per row
+    start = np.clip(p - k, 0, n - 1 - w)       # window [start, start + w] holds p
+    end = start + w
+    window = start[:, None] + np.arange(w + 1)
+    cand = window[window != p[:, None]].reshape(n, w)
+    sel, d2 = _closest(xs, rs, p, cand, k)
+
+    # Past the edges, [lo, start) and (end, stop) are the rows no farther
+    # than the k-th distance: all ties with it.
+    d2k = d2[:, -1]
+    lo = _first_true(lambda q: _sq_gap(xs, q, p) <= d2k, np.zeros(n, dtype=np.int64), start)
+    stop = _first_true(lambda q: _sq_gap(xs, q, p) > d2k, end + 1, np.full(n, n))
+    wide = np.flatnonzero((lo < start) | (stop > end + 1))
+    if wide.size:
+        # Rows of one value sit in ascending rank, so when a run holds a single
+        # value its first k rows are the only ones that can be picked.
+        lo, start, end, stop = lo[wide], start[wide], end[wide], stop[wide]
+        steps = np.arange(k)
+        left = lo[:, None] + steps
+        right = end[:, None] + 1 + steps
+        off = np.concatenate([np.zeros((wide.size, w), dtype=bool),
+                              left >= start[:, None], right >= stop[:, None]], axis=1)
+        more = np.concatenate([cand[wide], left, np.minimum(right, n - 1)], axis=1)
+        sel[wide], d2[wide] = _closest(xs, rs, wide, more, k, off)
+        # A run of several values (distinct values whose squared gaps round
+        # alike) has no such order; those rare rows rescan the whole range.
+        mixed = ((xs[lo] != xs[np.maximum(start - 1, lo)])
+                 | (xs[stop - 1] != xs[np.minimum(end + 1, stop - 1)]))
+        for r, a, b in zip(wide[mixed], lo[mixed], stop[mixed]):
+            span = np.arange(a, b)
+            span = span[span != r][None, :]
+            sel[r], d2[r] = _closest(xs, rs, np.array([r]), span, k)
+
+    pos = np.empty((n, k), dtype=np.int64)
+    dist = np.empty((n, k), dtype=np.float64)
+    pos[order] = order[sel]
+    dist[order] = d2
+    return pos, dist
+
+
+def _sq_gap(xs, q, p):
+    diff = xs[q] - xs[p]
+    return diff * diff
+
+
+def _closest(xs, rs, p, cand, k, off=None):
+    """Per row of ``cand``: the k smallest (squared gap to p, rank), ``off`` ones last."""
+    d2 = _sq_gap(xs, cand, p[:, None])
+    keys = (rs[cand], d2) if off is None else (rs[cand], d2, off)
+    pick = np.lexsort(keys, axis=-1)[:, :k]
+    return np.take_along_axis(cand, pick, 1), np.take_along_axis(d2, pick, 1)
+
+
+def _first_true(pred, lo, hi):
+    """Per element, the least q in [lo, hi) with pred(q), else hi; pred is monotone in q."""
+    while np.any(live := lo < hi):
+        mid = (lo + hi - 1) // 2        # in [lo, hi) where live, never hi itself
+        yes = pred(mid)
+        hi = np.where(live & yes, mid, hi)
+        lo = np.where(live & ~yes, mid + 1, lo)
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,8 @@ BAD_GRIDS = {
     "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
     "invariance_error_with_negative": (["invariance_error", "--grid", "0.1,-0.1"],
                                        "target error must be non-negative"),
+    "invariance_error_with_random": (["invariance_error", "--method", "random", "--grid", "0.2"],
+                                     "needs a representation-based method"),
 }
 
 
@@ -352,7 +354,8 @@ def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
 @pytest.mark.parametrize("argv,message", [
     (["--target-error", "-0.1"], "target error must be non-negative"),
     (["--kind", "identity", "--target-error", "0.1"], "needs the l2norm representation"),
-], ids=["negative", "identity_kind"])
+    (["--method", "random", "--target-error", "0.1"], "needs a representation-based method"),
+], ids=["negative", "identity_kind", "random_method"])
 def test_exp_bad_target_error_is_a_usage_error_before_data_generation(
         capsys, tmp_path, monkeypatch, argv, message):
     def no_generation(*args, **kw):
@@ -389,6 +392,25 @@ def test_validate_theory_bad_counts_are_usage_errors(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("count", ["0", "1"])
+@pytest.mark.parametrize("verb,argv", [
+    ("select", ["--in", "noisy.csv", "--out-subset", "subset.txt"]),
+    ("train", ["--in", "train.csv", "--out", "model.bin"]),
+], ids=["select", "train"])
+def test_class_count_below_two_is_a_usage_error(capsys, workdir, tmp_path, monkeypatch,
+                                                verb, argv, count):
+    def no_load(*args, **kw):
+        raise AssertionError("a dataset was read")
+    monkeypatch.setattr("icut.io.read_dataset_csv", no_load)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(workdir / a) if a.endswith(".csv") else a for a in argv]
+    code, out, err = run_cli(capsys, verb, *argv, "--num-classes", count)
+    assert code == 2
+    assert "need at least 2 classes" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_theory_passes_quickly(capsys):

@@ -52,6 +52,12 @@ def test_config_invariance_target_needs_l2norm():
         tiny_config(representation_kind="identity", invariance_target=0.1)
 
 
+@pytest.mark.parametrize("method", ["random", "entropy", "forget", "full"])
+def test_config_invariance_target_needs_a_representation_method(method):
+    with pytest.raises(ValueError, match="needs a representation-based method"):
+        tiny_config(method=method, invariance_target=0.1)
+
+
 def test_config_rejects_unknown_method_and_kind():
     with pytest.raises(ValueError, match="unknown method"):
         tiny_config(method="oracle")

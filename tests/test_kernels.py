@@ -33,15 +33,92 @@ def test_neighbor_table_matches_full_sort():
         assert pos[0, 0] == 150 and pos[150, 0] == 0 and d2[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-@pytest.mark.parametrize("offset", [0.0, 1e5, 1e7])
-def test_neighbor_table_is_exact_under_translation_and_scale(offset, scale):
-    X, rank = _case(400, 20, seed=7)
+SHIFTS = [(offset, scale) for offset in (0.0, 1e5, 1e7) for scale in (1e-3, 1.0, 1e3)]
+
+
+# width 20 runs the gram path, width 1 the sorted scan
+@pytest.mark.parametrize("width,offset,scale", [
+    pytest.param(w, o, s, id=f"{o}-{s}" if w == 20 else f"width1-{o}-{s}")
+    for w in (20, 1) for o, s in SHIFTS])
+def test_neighbor_table_is_exact_under_translation_and_scale(width, offset, scale):
+    X, rank = _case(400, width, seed=7)
     X = X * scale + offset
     pos, d2 = kernels.neighbor_table(X, rank, 10)
     rows, dists = oracle_neighbors(X, rank, 10)
     assert np.array_equal(pos, rows)
     assert np.allclose(np.sqrt(d2), dists, rtol=1e-12, atol=0.0)
+
+
+def _assert_matches_oracle(x, rank, k):
+    pos, d2 = kernels.neighbor_table(x[:, None], rank, k)
+    rows, dists = oracle_neighbors(x, rank, k)
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(np.sqrt(d2), dists)
+
+
+def _assert_matches_full_sort(x, rank, k):
+    # rounded squared gaps, as the kernel computes them: the oracle's square
+    # roots would merge neighboring values
+    pos, d2 = kernels.neighbor_table(x[:, None], rank, k)
+    diffs = x[:, None] - x[None, :]
+    full = diffs * diffs
+    np.fill_diagonal(full, np.inf)
+    for i in range(x.size):
+        order = np.lexsort((rank, full[i]))[:k]
+        assert np.array_equal(pos[i], order)
+        assert np.array_equal(d2[i], full[i][order])
+
+
+def test_width_one_integer_grid_with_long_tie_runs_on_both_sides():
+    # 12 values, 25 rows each: a row of an inner value has 24 others at distance
+    # 0 and 25 on each side at distance 1, so its 30th distance ties both ways
+    rng = np.random.default_rng(1)
+    x = rng.permutation(np.repeat(np.arange(12.0), 25))
+    _assert_matches_oracle(x, rng.permutation(x.size), 30)
+
+
+def test_width_one_duplicate_rows():
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=40)[rng.integers(0, 40, size=300)]
+    _assert_matches_oracle(x, rng.permutation(300), 10)
+
+
+@pytest.mark.parametrize("n", [2, 10, 11, 12])   # 2k, 2k + 1 and 2k + 2 for k = 5
+@pytest.mark.parametrize("all_others", [False, True], ids=["k5", "k_n_minus_1"])
+def test_width_one_small_tables(n, all_others):
+    rng = np.random.default_rng(n)
+    k = n - 1 if all_others else min(5, n - 1)
+    for x in (rng.normal(size=n), rng.integers(0, 3, size=n).astype(float)):
+        _assert_matches_oracle(x, rng.permutation(n), k)
+
+
+def test_width_one_tie_just_outside_the_window():
+    # sorted by (value, rank): rows 1, 2, 3 (value -1), 0 (value 0), 4, 5.  Row 0's
+    # window [p - 2, p + 2] holds rows 2 and 3 at distance 1, but row 1 ties
+    # with them one place past the edge and has the lowest rank.
+    x = np.array([0.0, -1.0, -1.0, -1.0, 5.0, 6.0])
+    rank = np.array([3, 0, 4, 5, 1, 2], dtype=np.int64)
+    pos, d2 = kernels.neighbor_table(x[:, None], rank, 2)
+    assert pos[0].tolist() == [1, 2] and d2[0].tolist() == [1.0, 1.0]
+    _assert_matches_oracle(x, rank, 2)
+
+
+def test_width_one_tie_run_across_distinct_values():
+    # 1 - (-j e-17) rounds to 1 for j <= 11: eleven distinct values at one
+    # rounded distance from row 0, so rank order within the run is not
+    # position order.  The lowest rank (row 8, j = 6) sits mid-run, past the
+    # window edge and past the run's first k rows.
+    x = np.concatenate([[1.0, 4.0, 9.0], -np.arange(1, 12) * 1e-17])
+    rank = np.arange(x.size)[::-1].copy()
+    rank[[8, 13]] = rank[[13, 8]]
+    _assert_matches_full_sort(x, rank, 3)
+    assert kernels.neighbor_table(x[:, None], rank, 3)[0][0].tolist() == [8, 12, 11]
+    # Past the right edge: row 0's window ends at row 4 (2e-17), but row 5
+    # (2e-17 too) ties with it and ranks below row 3 (1e-17) inside the window.
+    x = np.array([-1.0, -5.0, -6.0, 1e-17, 2e-17, 2e-17])
+    rank = np.array([0, 1, 2, 5, 3, 4], dtype=np.int64)
+    _assert_matches_full_sort(x, rank, 2)
+    assert kernels.neighbor_table(x[:, None], rank, 2)[0][0].tolist() == [4, 5]
 
 
 def test_neighbor_table_breaks_distance_ties_by_rank():
