@@ -21,7 +21,7 @@ from .baselines import herding_select, random_scores
 from .representation import (RepresentedDataset, compute_representation,
                              estimate_invariance_error, load_external_representation,
                              perturb_representation)
-from .theory import (FeasibilityReport, WindowParams, bound_proxy, check_corollary,
+from .theory import (FeasibilityReport, WindowParams, check_corollary,
                      check_sorted_density, feasibility_window, subset_error_rates,
                      unit_ball_log_volume, validate_prop1_monte_carlo)
 
@@ -42,7 +42,7 @@ __all__ = [
     "herding_select", "random_scores",
     "RepresentedDataset", "compute_representation", "estimate_invariance_error",
     "load_external_representation", "perturb_representation",
-    "FeasibilityReport", "WindowParams", "bound_proxy", "check_corollary",
+    "FeasibilityReport", "WindowParams", "check_corollary",
     "check_sorted_density", "feasibility_window", "subset_error_rates",
     "unit_ball_log_volume", "validate_prop1_monte_carlo",
     "__version__",

@@ -89,62 +89,77 @@ class ExperimentConfig:
                                  "(cutstats or herding)")
 
 
-def _obtain_data(config: ExperimentConfig, seed: int):
-    if config.synthetic is not None:
-        return _staged("generate", generate_synthetic, config.synthetic, seed)
-    train = _staged("load", io.read_dataset_csv, config.train_path)
-    test = _staged("load", io.read_dataset_csv, config.test_path) if config.test_path else None
-    return train, test
-
-
-def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0):
+def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
+           memo: Optional[dict] = None, width: Optional[int] = None):
     """Run the configured selector on ``noisy``; returns (selection, realized_error).
 
-    The single selector dispatch: ``run_seed`` and ``icut select`` both call it.
+    The single selector dispatch: ``run_seed`` and ``icut select`` call it.
     Every score-based method ends in the one ``rank_select`` below; herding and
-    full keep their own pick order.
+    full keep their own pick order. ``memo`` keeps each stage output under the
+    swept values it depends on (target error, k), so an ablation builds it once
+    per seed; the table is built ``width`` wide (default k), read to column k.
     """
-    tau = config.cutstats.tau
+    memo = {} if memo is None else memo
+
+    def once(key, stage, fn, *args, **kw):
+        if key not in memo:
+            memo[key] = _staged(stage, fn, *args, **kw)
+        return memo[key]
+
+    tau, k, target = config.cutstats.tau, config.cutstats.k, config.invariance_target
     realized = None
     if config.method == "full":
         return SelectionResult(scores=np.zeros(noisy.n), selected=noisy.ids.copy()), realized
     if config.method == "random":
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
-        scorer = _staged("train", train_mlp, noisy, config.mlp, seed)
+        scorer = once("scorer", "train", train_mlp, noisy, config.mlp, seed)
         scores = (entropy_scores(scorer, noisy) if config.method == "entropy"
                   else forgetting_counts(scorer.trace))
     else:  # representation-based selectors
         if config.representation_kind == "external":
-            rep = _staged("represent", load_external_representation, noisy,
-                          config.embedding_path)
+            rep = once("rep", "represent", load_external_representation, noisy,
+                       config.embedding_path)
         else:
-            rep = _staged("represent", compute_representation, noisy,
-                          config.representation_kind)
-        if config.invariance_target is not None:
+            rep = once("rep", "represent", compute_representation, noisy,
+                       config.representation_kind)
+        if target is not None:
             group = config.synthetic.group if config.synthetic is not None else "orthogonal"
-            rep, realized = _staged("represent", perturb_representation, rep,
-                                    config.invariance_target, group=group, seed=seed)
+            rep, realized = once(("perturbed", target), "represent", perturb_representation,
+                                 rep, target, group=group, seed=seed)
         if config.method == "herding":
             return herding_select(rep, tau), realized
-        table = _staged("select", build_neighbor_table, rep, config.cutstats.k)
-        scores = _staged("select", cutstats_scores, rep, table, config.cutstats)
+        table = once(("table", target), "select", build_neighbor_table, rep, width or k)
+        scores = once(("scores", target, k), "select", cutstats_scores, rep, table.head(k),
+                      config.cutstats)
     return SelectionResult(scores=scores, selected=rank_select(scores, noisy.ids, tau)), realized
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
-    """One deterministic pipeline pass; extras carry the realized knob values."""
-    train, test = _obtain_data(config, seed)
-    if config.noise.flip_probability > 0.0:
-        noisy = _staged("corrupt", inject_label_noise, train, config.noise, seed)
+def _corrupted_data(config: ExperimentConfig, seed: int):
+    """The seed's training split with its noisy labels, and its test split (or None)."""
+    if config.synthetic is not None:
+        train, test = _staged("generate", generate_synthetic, config.synthetic, seed)
     else:
-        noisy = train
-    selection, realized = select(config, noisy, seed)
+        train = _staged("load", io.read_dataset_csv, config.train_path)
+        test = _staged("load", io.read_dataset_csv, config.test_path) if config.test_path else None
+    if config.noise.flip_probability > 0.0:
+        train = _staged("corrupt", inject_label_noise, train, config.noise, seed)
+    return train, test
+
+
+def run_seed(config: ExperimentConfig, seed: int, data=None, memo=None, width=None
+             ) -> Tuple[Metrics, dict]:
+    """One deterministic pipeline pass; extras carry the realized knob values.
+
+    An ablation shares a seed's ``_corrupted_data`` and ``select`` memo across points.
+    """
+    noisy, test = data or _corrupted_data(config, seed)
+    selection, realized = select(config, noisy, seed, memo, width)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
+    sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:
         metrics = metrics.with_values(
             subset_accuracy=_staged("select", subset_accuracy, selection, noisy))
-        sub = noisy.restrict(selection.selected)
         if noisy.num_classes == 2:
             ones = sub.noisy_labels == 1
             zeros = ~ones
@@ -155,7 +170,6 @@ def run_seed(config: ExperimentConfig, seed: int) -> Tuple[Metrics, dict]:
             metrics = metrics.with_values(alpha_hat=1.0 - metrics.subset_accuracy,
                                           gamma_hat=1.0 - metrics.subset_accuracy)
     if test is not None and config.train_downstream:
-        sub = noisy.restrict(selection.selected)
         model = _staged("train", train_mlp, sub, config.mlp, seed)
         scored = _staged("evaluate", evaluate, model, test)
         metrics = metrics.with_values(classifier_accuracy=scored.classifier_accuracy,
@@ -212,6 +226,9 @@ def ablation_configs(kind: str, config: ExperimentConfig, grid: Sequence) -> lis
     """One checked config per grid point, so a bad point fails before any point runs."""
     if len(grid) == 0:
         raise ValueError("empty ablation grid")
+    fractional = [p for p in grid if not float(p).is_integer()]
+    if kind in ("dimension_sweep", "k_sweep") and fractional:
+        raise ValueError(f"{kind} grid points must be integers, got {fractional[0]!r}")
     if kind == "invariance_error":
         return [replace(config, invariance_target=float(p)) for p in grid]
     if kind == "dimension_sweep":
@@ -226,17 +243,28 @@ def ablation_configs(kind: str, config: ExperimentConfig, grid: Sequence) -> lis
 
 
 def run_ablation(kind: str, config: ExperimentConfig, grid: Sequence) -> dict:
-    """One pipeline run per grid point; a row per point with realized knobs."""
+    """A row per grid point, over every seed, with the realized knob values.
+
+    Seeds are the outer loop: a seed obtains and corrupts its data once (not in
+    a dimension sweep: they depend on d), and ``select`` builds each later stage
+    once unless the swept value changes it. A k sweep builds one table at its
+    largest k, a tau sweep scores once; selection and the MLP run per point.
+    """
     configs = ablation_configs(kind, config, grid)
+    width = max(cfg.cutstats.k for cfg in configs)
+    runs = [[] for _ in configs]
+    for seed in sorted(config.seeds):
+        # a dimension sweep's data depend on d, so its points share nothing
+        shared = () if kind == "dimension_sweep" else (_corrupted_data(config, seed), {}, width)
+        for cfg, point_runs in zip(configs, runs):
+            point_runs.append(run_seed(cfg, seed, *shared))
     header = [kind, "realized", "subset_acc_mean", "subset_acc_std",
               "classifier_acc_mean", "classifier_acc_std"]
     csv_rows, txt_rows, points = [], [], []
-    for point, cfg in zip(grid, configs):
-        runs = [run_seed(cfg, seed) for seed in sorted(cfg.seeds)]
-        summary = summarize_runs([m for m, _ in runs])
-        realized = [x["realized_error"] for _, x in runs]
-        realized_mean = (float(np.mean([r for r in realized if r is not None]))
-                         if any(r is not None for r in realized) else float(point))
+    for point, point_runs in zip(grid, runs):
+        summary = summarize_runs([m for m, _ in point_runs])
+        realized = [x["realized_error"] for _, x in point_runs if x["realized_error"] is not None]
+        realized_mean = float(np.mean(realized)) if realized else float(point)
         subset, classifier = summary["subset_accuracy"], summary["classifier_accuracy"]
         points.append((float(point), realized_mean, subset, classifier))
         stats = subset + classifier                 # two (mean, std) pairs

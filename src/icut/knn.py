@@ -27,10 +27,19 @@ class NeighborTable:
 
     def __post_init__(self):
         n = self.neighbor_ids.shape[0]
-        if self.neighbor_ids.shape != (n, self.k) or self.distances.shape != (n, self.k):
+        if any(a.shape != (n, self.k)
+               for a in (self.neighbor_ids, self.neighbor_rows, self.distances)):
             raise ValueError("inconsistent table shapes")
         if np.any(np.diff(self.distances, axis=1) < 0):
             raise ValueError("each row's distances must be non-decreasing")
+
+    def head(self, k: int) -> "NeighborTable":
+        """The first k columns: under the (distance, id) order, the k-nearest table."""
+        if not (1 <= k <= self.k):
+            raise ValueError(f"k must satisfy 1 <= k <= {self.k}, got k={k}")
+        return NeighborTable(k=k, neighbor_ids=self.neighbor_ids[:, :k],
+                             neighbor_rows=self.neighbor_rows[:, :k],
+                             distances=self.distances[:, :k])
 
 
 def build_neighbor_table(rep: RepresentedDataset, k: int) -> NeighborTable:

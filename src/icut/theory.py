@@ -1,10 +1,9 @@
 """Numeric checks of the selection theory.
 
 Covers the closed-form propagation of label-error rates through the
-agreement filter, its monotone corollary, the structural factor of the
-generalization bound, unit-ball volumes, the dimension feasibility
-window, and two Monte Carlo validators (the propagation formula and the
-sorted-density factor d!).
+agreement filter, its monotone corollary, unit-ball volumes, the
+dimension feasibility window, and two Monte Carlo validators (the
+propagation formula and the sorted-density factor d!).
 """
 
 from __future__ import annotations
@@ -66,25 +65,6 @@ def check_corollary(alpha: float, gamma: float,
         precondition_met=lambda0 + lambda1 >= 1.0 - tol,
         holds=(am >= -tol and gm >= -tol),
     )
-
-
-def bound_proxy(m: int, nonabstain_rate: float, min_class_rate: float,
-                alpha_s: float, gamma_s: float, vc: float, delta: float) -> float:
-    """Structural factor of the excess-risk bound (constants and logs dropped).
-
-    A comparative diagnostic only: useful for ranking selections, not as
-    an absolute error bound.
-    """
-    if alpha_s + gamma_s >= 1.0:
-        raise ValueError("alpha_s + gamma_s must be below 1")
-    for name, v in (("nonabstain_rate", nonabstain_rate),
-                    ("min_class_rate", min_class_rate), ("delta", delta)):
-        if not (0.0 < v <= 1.0):
-            raise ValueError(f"{name} must lie in (0, 1]")
-    if m < 1 or vc <= 0:
-        raise ValueError("m and vc must be positive")
-    return (1.0 / (1.0 - alpha_s - gamma_s)) * math.sqrt(
-        (vc + math.log(1.0 / delta)) / (m * nonabstain_rate * min_class_rate))
 
 
 def unit_ball_log_volume(d: int) -> Tuple[float, Optional[float]]:

@@ -218,6 +218,60 @@ def test_run_ablation_rejects_bad_inputs(tmp_path):
         run_ablation("k_sweep", cfg, [])
 
 
+@pytest.mark.parametrize("kind", ["k_sweep", "dimension_sweep"])
+def test_run_ablation_rejects_fractional_points(tmp_path, kind):
+    cfg = tiny_config(output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=f"{kind} grid points must be integers, got 2.5"):
+        run_ablation(kind, cfg, [2.5, 2])
+    assert list(tmp_path.iterdir()) == []
+    configs = experiment.ablation_configs(kind, cfg, [np.int64(4), 3.0])
+    values = [c.cutstats.k if kind == "k_sweep" else c.synthetic.d for c in configs]
+    assert values == [4, 3] and all(type(v) is int for v in values)
+
+
+def test_run_ablation_k_beyond_n_fails_at_select_before_any_training(tmp_path, monkeypatch):
+    def no_training(*args, **kw):
+        raise AssertionError("an MLP was trained")
+
+    monkeypatch.setattr(experiment, "train_mlp", no_training)
+    with pytest.raises(StageError) as failure:
+        run_ablation("k_sweep", tiny_config(output_dir=str(tmp_path)), [5, TINY_SPEC.n_train])
+    assert failure.value.stage == "select"
+    assert "k must satisfy 1 <= k <= n-1" in str(failure.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+STAGES = ("generate_synthetic", "inject_label_noise", "compute_representation",
+          "perturb_representation", "build_neighbor_table", "cutstats_scores")
+
+
+@pytest.mark.parametrize("kind, grid, per_point", [
+    ("k_sweep", [3, 7, 5], {"cutstats_scores"}),
+    ("tau_sweep", [0.3, 0.5, 0.7], set()),
+    ("invariance_error", [0.0, 0.1, 0.2],
+     {"perturb_representation", "build_neighbor_table", "cutstats_scores"}),
+    ("dimension_sweep", [4, 5, 6], set(STAGES) - {"perturb_representation"}),
+])
+def test_run_ablation_builds_unswept_stages_once_per_seed(tmp_path, monkeypatch,
+                                                          kind, grid, per_point):
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+    cfg = tiny_config(output_dir=str(tmp_path), seeds=(1, 0), train_downstream=False)
+    run_ablation(kind, cfg, grid)
+    expected = {name: 2 * (3 if name in per_point else 1) for name in STAGES}
+    if kind != "invariance_error":
+        expected["perturb_representation"] = 0
+    assert calls == expected
+
+
 def test_run_ablation_dimension_sweep_requires_synthetic(tmp_path):
     train = tmp_path / "train.csv"
     write_dataset_csv(random_dataset(40, 2, seed=7), train)

@@ -57,17 +57,29 @@ def test_experiment_report_bytes_are_pinned(tmp_path, method):
     assert _digests(run_experiment(_config(tmp_path, method=method))) == EXPERIMENTS[method]
 
 
+# name -> (kind, grid, config overrides, digests)
 ABLATIONS = {
-    "k_sweep": ((3, 8), (
+    "k_sweep": ("k_sweep", (3, 8), {"seeds": (0,)}, (
         "bb2e6073e0e9eda5fbc5b6f8a524258c6c2e65f3b108b50fa98a75b2633eddea",
         "fd54ea985bfce19b4db82ad7c7f14e373fc47a29cbe235cb7e6ce6efbeeb6185")),
-    "tau_sweep": ((0.25, 0.6), (
+    # two seeds and a descending grid: rows stay in grid order
+    "k_sweep_descending": ("k_sweep", (8, 3), {}, (
+        "f3ef5cb2415dc2287560f2becde0610ca8b9d3b7fc46fe577c8895b59e147570",
+        "6c95ce5c3965708c4d8be81dacd255b52e945b24e3f5ed6da3e2eb29faecf59a")),
+    "tau_sweep": ("tau_sweep", (0.25, 0.6), {"seeds": (0,)}, (
         "e1e41a98cf20990fb47587eea664d86a5a600d23fc4296b65e25974400f2ad83",
         "cc1b878efd4af747d7760a9afa3107ab0d22b2452c90e61f51bfd0793ca59e43")),
+    # the entropy scorer MLP serves every tau of a seed
+    "tau_sweep_entropy": ("tau_sweep", (0.25, 0.6), {"method": "entropy"}, (
+        "d09153865465eaec64477ae651f333a14fd598e593a66cf343416e3ba22668c3",
+        "18aef41396564696515ca6ac1c0a815cbcfad127c62d1b9047fed4936cf61bad")),
+    "invariance_error": ("invariance_error", (0.0, 0.2), {}, (
+        "f00590da27d21648de52eb04eb949068b3824fb6e243cec8ca30e8879084f680",
+        "efd7cabf6501991644d2ca8581c700b13a81c19f2e01cc1b929e6ec4894d0ed6")),
 }
 
 
-@pytest.mark.parametrize("kind", sorted(ABLATIONS))
-def test_ablation_report_bytes_are_pinned(tmp_path, kind):
-    grid, expected = ABLATIONS[kind]
-    assert _digests(run_ablation(kind, _config(tmp_path, seeds=(0,)), grid)) == expected
+@pytest.mark.parametrize("name", sorted(ABLATIONS))
+def test_ablation_report_bytes_are_pinned(tmp_path, name):
+    kind, grid, overrides, expected = ABLATIONS[name]
+    assert _digests(run_ablation(kind, _config(tmp_path, **overrides), grid)) == expected

@@ -94,10 +94,39 @@ def test_l2norm_table_invariant_under_global_rotation():
     assert np.array_equal(base.neighbor_ids, rotated.neighbor_ids)
 
 
+@pytest.mark.parametrize("data", ["normal", "integer_grid"])
+@pytest.mark.parametrize("kind, d", [("l2norm", 5), ("sort", 5), ("identity", 3)])
+def test_narrower_table_is_the_head_of_a_wider_one(kind, d, data):
+    # widths 1 (sorted scan), 5 (gram path) and 3; the grid makes many exact ties
+    rng = np.random.default_rng(16)
+    n, kmax = 120, 12
+    feats = (rng.standard_normal((n, d)) if data == "normal"
+             else rng.integers(-2, 3, size=(n, d)).astype(float))
+    rep = _rep(feats, ids=rng.permutation(3 * n)[:n], kind=kind)
+    wide = build_neighbor_table(rep, kmax)
+    for k in range(1, kmax + 1):
+        head, exact = wide.head(k), build_neighbor_table(rep, k)
+        assert head.k == k
+        assert np.array_equal(head.neighbor_ids, exact.neighbor_ids)
+        assert np.array_equal(head.neighbor_rows, exact.neighbor_rows)
+        assert np.array_equal(head.distances, exact.distances)
+
+
+def test_head_rejects_widths_outside_the_table():
+    table = build_neighbor_table(_rep([0.0, 1.0, 2.0, 4.0]), k=2)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k must satisfy 1 <= k <= 2"):
+            table.head(k)
+
+
 def test_table_shape_validation():
     from icut import NeighborTable
     with pytest.raises(ValueError, match="inconsistent table shapes"):
         NeighborTable(k=2, neighbor_ids=np.zeros((3, 1), dtype=int),
+                      neighbor_rows=np.zeros((3, 1), dtype=int),
+                      distances=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="inconsistent table shapes"):
+        NeighborTable(k=2, neighbor_ids=np.zeros((3, 2), dtype=int),
                       neighbor_rows=np.zeros((3, 1), dtype=int),
                       distances=np.zeros((3, 2)))
     with pytest.raises(ValueError, match="non-decreasing"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icut import (WindowParams, bound_proxy, check_corollary,
+from icut import (WindowParams, check_corollary,
                   check_sorted_density, feasibility_window, subset_error_rates,
                   unit_ball_log_volume, validate_prop1_monte_carlo)
 from icut.theory import theory_checks
@@ -78,38 +78,6 @@ def test_corollary_can_fail_below_unit_accuracy_sum():
     assert not rep.precondition_met
     assert not rep.holds
     assert rep.alpha_s > 0.2
-
-
-# --- bound proxy ----------------------------------------------------------------
-
-
-def test_bound_proxy_scales_inverse_sqrt_m():
-    lo = bound_proxy(200, 0.8, 0.4, 0.1, 0.1, 10.0, 0.05)
-    hi = bound_proxy(400, 0.8, 0.4, 0.1, 0.1, 10.0, 0.05)
-    assert lo == pytest.approx(math.sqrt(2.0) * hi, rel=1e-12)
-
-
-def test_bound_proxy_prefactor_is_one_when_clean():
-    got = bound_proxy(500, 1.0, 1.0, 0.0, 0.0, 3.0, 0.1)
-    assert got == pytest.approx(math.sqrt((3.0 + math.log(10.0)) / 500), rel=1e-12)
-
-
-def test_bound_proxy_rejects_saturated_error_rates():
-    with pytest.raises(ValueError, match="alpha_s \\+ gamma_s"):
-        bound_proxy(100, 0.8, 0.4, 0.6, 0.4, 10.0, 0.05)
-
-
-def test_bound_proxy_rejects_bad_rates_and_sizes():
-    with pytest.raises(ValueError, match="nonabstain_rate"):
-        bound_proxy(100, 0.0, 0.4, 0.1, 0.1, 10.0, 0.05)
-    with pytest.raises(ValueError, match="min_class_rate"):
-        bound_proxy(100, 0.8, 1.4, 0.1, 0.1, 10.0, 0.05)
-    with pytest.raises(ValueError, match="delta"):
-        bound_proxy(100, 0.8, 0.4, 0.1, 0.1, 10.0, 0.0)
-    with pytest.raises(ValueError, match="m and vc"):
-        bound_proxy(0, 0.8, 0.4, 0.1, 0.1, 10.0, 0.05)
-    with pytest.raises(ValueError, match="m and vc"):
-        bound_proxy(100, 0.8, 0.4, 0.1, 0.1, 0.0, 0.05)
 
 
 # --- unit-ball volumes -----------------------------------------------------------
