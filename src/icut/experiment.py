@@ -113,9 +113,9 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
     if config.method == "random":
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
-        scorer = once("scorer", "train", train_mlp, noisy, config.mlp, seed)
-        scores = (entropy_scores(scorer, noisy) if config.method == "entropy"
-                  else forgetting_counts(scorer.trace))
+        forget = config.method == "forget"
+        scorer = once("scorer", "train", train_mlp, noisy, config.mlp, seed, trace=forget)
+        scores = forgetting_counts(scorer.trace) if forget else entropy_scores(scorer, noisy)
     else:  # representation-based selectors
         if config.representation_kind == "external":
             rep = once("rep", "represent", load_external_representation, noisy,

@@ -6,7 +6,9 @@ l2norm representation) is sorted once by (value, rank); each row takes
 the 2k rows around it in that order as candidates, widened across any
 run of rows tied at the k-th distance past a window edge: about
 O(n log n + n k log k) work.  Wider inputs find candidates with the gram
-trick on column-centered rows: O(n^2 m) work.  Both paths rank their
+trick on column-centered rows: O(n^2 m) work in blocks of rows that
+reuse two fixed rows x n buffers, so beyond the input and the table it
+needs 16 MB, not memory that grows with n^2.  Both paths rank their
 candidates by exact squared distances computed from the input rows and
 break ties by ascending rank, so both return the same (distance,
 ascending-rank) table.  Herding scans every candidate once per pick.
@@ -15,6 +17,11 @@ ascending-rank) table.  Herding scans every candidate once per pick.
 from __future__ import annotations
 
 import numpy as np
+
+# Elements in each of the gram path's two block buffers (8 MB each).  On
+# 2 cores, k-NN at n = 5000 and 20000 (m = 32) ran as fast at 2^20 as at
+# 2^21 or 2^22, and about 5% slower at 2^19.
+BLOCK_ELEMENTS = 2**20
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors, exact.
@@ -42,21 +49,35 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     d2 = np.empty((n, k), dtype=np.float64)
     # Distances do not change under translation, but the gram trick's
     # rounding error grows with the squared norms, so candidates come from
-    # centered rows.  A gram entry is off by at most a few (m + 2) eps
-    # (|x_i|^2 + |x_j|^2); twice that bound as the margin on each row's cut
-    # keeps every true member among the candidates.
+    # centered rows.  Row i ranks row j by e_ij = |c_j|^2 - 2 c_i.c_j, the
+    # squared distance less |c_i|^2, a row constant that changes no ranking.
+    # Scaling by -2 is exact, so e_ij is one dot product of m terms plus one
+    # addition, off by at most about (m + 2) eps (|c_i|^2 + |c_j|^2) <= t_i,
+    # with t_i = (m + 2) eps (|c_i|^2 + max |c|^2).  The row's computed k-th
+    # smallest e is at most t_i below its exact value and a true member's e
+    # at most t_i above its own, so every true member lies within 2 t_i of
+    # the computed k-th: under half the margin of 8 t_i below.
     C = X - X.mean(axis=0)
     sq = np.einsum("ij,ij->i", C, C)
     margin = 8.0 * (m + 2) * np.finfo(np.float64).eps * (sq + sq.max())
-    block = max(1, min(n, int(2**24 // max(n, 1)) or 1))
-    for b0 in range(0, n, block):
-        b1 = min(b0 + block, n)
-        D = sq[b0:b1, None] + sq[None, :] - 2.0 * (C[b0:b1] @ C.T)
-        D[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
-        cuts = np.partition(D, k - 1, axis=1)[:, k - 1] + margin[b0:b1]
+    M2T = -2.0 * C.T
+    # Two rows x n buffers, reused by every block: 16 MB in all while
+    # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.
+    rows = max(1, min(n, BLOCK_ELEMENTS // n))
+    E = np.empty((rows, n))
+    P = np.empty((rows, n))
+    for b0 in range(0, n, rows):
+        b1 = min(b0 + rows, n)
+        e, p = E[:b1 - b0], P[:b1 - b0]
+        np.matmul(C[b0:b1], M2T, out=e)
+        e += sq
+        e[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
+        np.copyto(p, e)
+        p.partition(k - 1, axis=1)
+        cuts = p[:, k - 1] + margin[b0:b1]
         for r in range(b1 - b0):
             i = b0 + r
-            cand = np.flatnonzero(D[r] <= cuts[r])
+            cand = np.flatnonzero(e[r] <= cuts[r])
             diff = X[cand] - X[i]
             exact = np.einsum("ij,ij->i", diff, diff)
             order = np.lexsort((rank[cand], exact))[:k]
@@ -154,17 +175,17 @@ def herding_greedy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    n = X.shape[0]
     sq = np.einsum("ij,ij->i", X, X)
-    taken = np.zeros(n, dtype=bool)
+    score = np.empty(X.shape[0])
     out = np.empty(count, dtype=np.int64)
     S = np.zeros(X.shape[1])
     for t in range(count):
         c = S - (t + 1) * mu
-        score = sq + 2.0 * (X @ c)
-        score[taken] = np.inf
+        np.matmul(X, c, out=score)
+        score *= 2.0
+        score += sq                # a taken row's +inf norm keeps it out
         j = int(np.argmin(score))  # first occurrence = lowest rank on ties
         out[t] = j
-        taken[j] = True
+        sq[j] = np.inf
         S += X[j]
     return out

@@ -2,7 +2,7 @@
 
 Binary targets train through a single sigmoid output with binary
 cross-entropy; more classes switch to softmax + cross-entropy.  Training
-records a per-epoch, per-sample correctness trace against the training
+can record a per-epoch, per-sample correctness trace against the training
 labels, which feeds the forgetting-count baseline.  Everything is plain
 numpy and bit-for-bit deterministic given the seed.
 """
@@ -116,8 +116,13 @@ def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
     return float(loss), [gW1, gb1, gW2, gb2]
 
 
-def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0) -> TrainedClassifier:
-    """Mini-batch Adam over ``train.num_classes`` classes with a per-epoch correctness trace."""
+def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
+              trace: bool = False) -> TrainedClassifier:
+    """Mini-batch Adam over ``train.num_classes`` classes.
+
+    With ``trace``, the model also carries a per-epoch correctness trace on
+    the training set, which costs one prediction pass per epoch.
+    """
     if train.n == 0:
         raise ValueError("empty selection")
     X = train.features
@@ -129,8 +134,9 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0) -> Traine
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
     t = 0
-    trace = np.zeros((config.epochs, train.n), dtype=bool)
-    model = TrainedClassifier(*params, num_classes=C)
+    model = TrainedClassifier(*params, num_classes=C)  # updated in place below
+    if trace:
+        model.trace = np.zeros((config.epochs, train.n), dtype=bool)
     for epoch in range(config.epochs):
         order = rng.permutation(train.n)
         for start in range(0, train.n, config.batch_size):
@@ -143,9 +149,8 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0) -> Traine
                 mhat = m[i] / (1.0 - ADAM_BETA1**t)
                 vhat = v[i] / (1.0 - ADAM_BETA2**t)
                 params[i] -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        model = TrainedClassifier(*params, num_classes=C)
-        trace[epoch] = model.predict(X) == y
-    model.trace = trace
+        if trace:
+            model.trace[epoch] = model.predict(X) == y
     return model
 
 

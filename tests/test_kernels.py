@@ -1,5 +1,7 @@
 """The exact kernels against plain-scan oracles: same tables, same picks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,20 +19,76 @@ def _case(n, d, seed, with_duplicates=False):
     return X, rank
 
 
+def _full_sort(X, rank, k, rows):
+    """Each listed row's k nearest others by a sort of all its squared distances."""
+    pos = np.empty((len(rows), k), dtype=np.int64)
+    d2 = np.empty((len(rows), k))
+    for r, i in enumerate(rows):
+        diff = X - X[i]
+        full = np.einsum("ij,ij->i", diff, diff)
+        full[i] = np.inf
+        pos[r] = np.lexsort((rank, full))[:k]
+        d2[r] = full[pos[r]]
+    return pos, d2
+
+
 def test_neighbor_table_matches_full_sort():
     # narrow and wide inputs, with duplicated rows so distance ties occur
     for d in (1, 3, 16, 40):
         X, rank = _case(300, d, seed=d, with_duplicates=True)
         pos, d2 = kernels.neighbor_table(X, rank, 10)
-        diffs = X[:, None, :] - X[None, :, :]
-        full = np.einsum("ijk,ijk->ij", diffs, diffs)
-        np.fill_diagonal(full, np.inf)
-        for i in range(300):
-            order = np.lexsort((rank, full[i]))[:10]
-            assert np.array_equal(pos[i], order)
-            assert np.allclose(d2[i], full[i][order], atol=1e-12)
+        rows, dists = _full_sort(X, rank, 10, range(300))
+        assert np.array_equal(pos, rows)
+        assert np.array_equal(d2, dists)
         # the duplicated rows are each other's nearest neighbor at distance 0
         assert pos[0, 0] == 150 and pos[150, 0] == 0 and d2[0, 0] == 0.0
+
+
+def _gram_case(kind, n, rng):
+    if kind == "duplicates":
+        return rng.normal(size=(40, 8))[rng.integers(0, 40, size=n)]
+    if kind == "grid":
+        return rng.integers(0, 4, size=(n, 5)).astype(float)
+    if kind == "offset":
+        return rng.normal(size=(n, 16)) + 1e7
+    return rng.normal(size=(n, int(kind.split("-")[1])))
+
+
+# 300 rows in blocks of 64: four full blocks and a partial one of 44
+@pytest.mark.parametrize("kind,k", [("width-2", 10), ("width-5", 10), ("width-32", 10),
+                                    ("duplicates", 10), ("grid", 30), ("offset", 10),
+                                    ("width-3", 299)])
+def test_gram_path_across_several_blocks_matches_full_sort(kind, k, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64 * 300)
+    rng = np.random.default_rng(len(kind) + k)
+    X = _gram_case(kind, 300, rng)
+    rank = rng.permutation(300).astype(np.int64)
+    pos, d2 = kernels.neighbor_table(X, rank, k)
+    rows, dists = _full_sort(X, rank, k, range(300))
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(d2, dists)
+
+
+def test_gram_path_memory_does_not_grow_with_n_squared():
+    # One 4000 x 4000 block of distances alone is 128 MB; the two reused
+    # block buffers hold 2 x 8 MB.
+    rng = np.random.default_rng(9)
+    n, k = 4000, 20
+    X = rng.normal(size=(n, 32))
+    rank = rng.permutation(n).astype(np.int64)
+    tracemalloc.start()
+    try:
+        pos, d2 = kernels.neighbor_table(X, rank, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    rows_per_block = kernels.BLOCK_ELEMENTS // n
+    check = sorted({0, rows_per_block - 1, rows_per_block, n - 1,
+                    *rng.choice(n, size=40, replace=False).tolist()})
+    rows, dists = _full_sort(X, rank, k, check)
+    assert np.array_equal(pos[check], rows)
+    assert np.array_equal(d2[check], dists)
 
 
 SHIFTS = [(offset, scale) for offset in (0.0, 1e5, 1e7) for scale in (1e-3, 1.0, 1e3)]

@@ -62,7 +62,7 @@ def test_gradient_check_multiclass():
 
 def test_separable_blobs_reach_high_training_accuracy():
     ds = _blobs()
-    model = train_mlp(ds, MlpConfig(hidden_units=8, epochs=20, batch_size=64))
+    model = train_mlp(ds, MlpConfig(hidden_units=8, epochs=20, batch_size=64), trace=True)
     assert model.trace[-1].mean() >= 0.99
 
 
@@ -89,10 +89,19 @@ def test_training_is_deterministic():
 
 def test_trace_shape_and_last_row():
     ds = _blobs(n_per=30, seed=3)
-    model = train_mlp(ds, MlpConfig(epochs=5, batch_size=16))
+    model = train_mlp(ds, MlpConfig(epochs=5, batch_size=16), trace=True)
     assert model.trace.shape == (5, ds.n)
     assert model.trace.dtype == bool
     assert np.array_equal(model.trace[-1], model.predict(ds.features) == ds.noisy_labels)
+
+
+def test_trace_is_opt_in_and_leaves_training_unchanged():
+    ds = _blobs(n_per=30, seed=3)
+    plain = train_mlp(ds, MlpConfig(epochs=3), seed=5)
+    traced = train_mlp(ds, MlpConfig(epochs=3), seed=5, trace=True)
+    assert plain.trace is None and traced.trace.shape == (3, ds.n)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(plain, name), getattr(traced, name))
 
 
 def test_softmax_probabilities_sum_to_one():
