@@ -47,8 +47,6 @@ def herding_select(rep: RepresentedDataset, tau: float) -> SelectionResult:
         raise ValueError("tau must lie in (0, 1]")
     base = rep.base
     X = rep.representations
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite representation value")
     total = round_half_up(tau * base.n)
     shares = _class_shares(base.noisy_labels, base.num_classes, total)
     scores = np.full(base.n, float(base.n))

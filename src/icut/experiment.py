@@ -128,7 +128,7 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
             rep, realized = once(("perturbed", target), "represent", perturb_representation,
                                  rep, target, group=group, seed=seed)
         if config.method == "herding":
-            return herding_select(rep, tau), realized
+            return _staged("select", herding_select, rep, tau), realized
         table = once(("table", target), "select", build_neighbor_table, rep, width or k)
         scores = once(("scores", target, k), "select", cutstats_scores, rep, table.head(k),
                       config.cutstats)

@@ -7,11 +7,18 @@ the 2k rows around it in that order as candidates, widened across any
 run of rows tied at the k-th distance past a window edge: about
 O(n log n + n k log k) work.  Wider inputs find candidates with the gram
 trick on column-centered rows: O(n^2 m) work in blocks of rows that
-reuse two fixed rows x n buffers, so beyond the input and the table it
-needs 16 MB, not memory that grows with n^2.  Both paths rank their
-candidates by exact squared distances computed from the input rows and
-break ties by ascending rank, so both return the same (distance,
-ascending-rank) table.  Herding scans every candidate once per pick.
+reuse two fixed rows x n buffers and a rows x n candidate mask.  Each
+block is rescored by whole-block numpy calls, not a loop over its rows,
+in chunks of rows sized from their candidate counts, so a tie-heavy
+block (every entry a candidate) keeps to the same budget.  Beyond the
+input and the table the path needs about 25 MB, not memory that grows
+with n^2.  Both paths rank their candidates by exact squared distances
+computed from the input rows and break ties by ascending rank, so both
+return the same (distance, ascending-rank) table, exact under any
+translation or scale of the features that keeps squared distances
+finite in float64.  Larger inputs (entries from about 1e153 up) and
+non-finite ones raise ``ValueError``.  Herding scans every candidate once
+per pick, under the same limit on its scores.
 """
 
 from __future__ import annotations
@@ -22,6 +29,14 @@ import numpy as np
 # 2 cores, k-NN at n = 5000 and 20000 (m = 32) ran as fast at 2^20 as at
 # 2^21 or 2^22, and about 5% slower at 2^19.
 BLOCK_ELEMENTS = 2**20
+
+# Candidate slots rescored at once, counted as chunk rows x the chunk's
+# widest row x (m + 2): the gathered rows, their differences and the index
+# arrays take at most 16 bytes per element, 8 MB in all.
+RESCORE_ELEMENTS = BLOCK_ELEMENTS // 2
+
+OVERFLOW = ("squared distances overflow float64: non-finite representation values, "
+            "or features too large to square")
 
 # ---------------------------------------------------------------------------
 # k-nearest neighbors, exact.
@@ -38,6 +53,14 @@ def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
     """k smallest (squared distance, rank) pairs per row, self excluded."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     rank = np.ascontiguousarray(rank, dtype=np.int64)
+    # Every squared distance is at most S, the sum of squared column spans,
+    # and the gram path's |c_j|^2 and 2 c_i.c_j stay within S and 2 S, so a
+    # finite 4 S keeps every term and sum finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+        bound = 4.0 * (span @ span)
+    if not np.isfinite(bound):
+        raise ValueError(OVERFLOW)
     if X.shape[1] == 1:
         return _sorted_scan(X[:, 0], rank, k)
     return _gram_scan(X, rank, k)
@@ -61,29 +84,52 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     sq = np.einsum("ij,ij->i", C, C)
     margin = 8.0 * (m + 2) * np.finfo(np.float64).eps * (sq + sq.max())
     M2T = -2.0 * C.T
-    # Two rows x n buffers, reused by every block: 16 MB in all while
+    # Three rows x n buffers, reused by every block: 17 MB in all while
     # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.
     rows = max(1, min(n, BLOCK_ELEMENTS // n))
     E = np.empty((rows, n))
     P = np.empty((rows, n))
+    M = np.empty((rows, n), dtype=bool)
     for b0 in range(0, n, rows):
         b1 = min(b0 + rows, n)
-        e, p = E[:b1 - b0], P[:b1 - b0]
+        e, p, mask = E[:b1 - b0], P[:b1 - b0], M[:b1 - b0]
         np.matmul(C[b0:b1], M2T, out=e)
         e += sq
         e[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
         np.copyto(p, e)
         p.partition(k - 1, axis=1)
         cuts = p[:, k - 1] + margin[b0:b1]
-        for r in range(b1 - b0):
-            i = b0 + r
-            cand = np.flatnonzero(e[r] <= cuts[r])
-            diff = X[cand] - X[i]
-            exact = np.einsum("ij,ij->i", diff, diff)
-            order = np.lexsort((rank[cand], exact))[:k]
-            pos[i] = cand[order]
-            d2[i] = exact[order]
+        np.less_equal(e, cuts[:, None], out=mask)
+        counts = np.count_nonzero(mask, axis=1)
+        step = max(1, RESCORE_ELEMENTS // ((m + 2) * int(counts.max())))
+        for r0 in range(0, b1 - b0, step):
+            r1 = min(r0 + step, b1 - b0)
+            _rescore(X, rank, mask[r0:r1], counts[r0:r1], b0 + r0, pos, d2)
     return pos, d2
+
+
+def _rescore(X, rank, mask, counts, i0, pos, d2):
+    """Rows i0, i0 + 1, ... of the table from their candidate masks, in one pass.
+
+    Exact squared distances of every candidate, laid out one row per table
+    row and padded with (inf, rank n), which sorts after every candidate;
+    each row holds at least k candidates, so the first k columns in
+    (distance, rank) order are the row's neighbors.
+    """
+    n, k = X.shape[0], pos.shape[1]
+    r, c = np.divmod(np.flatnonzero(mask), n)
+    diff = X.take(c, axis=0)
+    diff -= X.take(i0 + r, axis=0)
+    exact = np.einsum("ij,ij->i", diff, diff)
+    filled = np.arange(counts.max()) < counts[:, None]
+    dist = np.full(filled.shape, np.inf)
+    dist[filled] = exact
+    keys = np.full(filled.shape, n)
+    keys[filled] = rank[c]
+    order = np.lexsort((keys, dist), axis=-1)[:, :k]
+    first = np.cumsum(counts) - counts
+    pos[i0:i0 + counts.size] = c[first[:, None] + order]
+    d2[i0:i0 + counts.size] = np.take_along_axis(dist, order, axis=1)
 
 
 def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
@@ -175,7 +221,12 @@ def herding_greedy(X: np.ndarray, mu: np.ndarray, count: int) -> np.ndarray:
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     mu = np.ascontiguousarray(mu, dtype=np.float64)
-    sq = np.einsum("ij,ij->i", X, X)
+    # |c| <= (2 count - 1) max |x|, so every score lies within (4 count - 1) max |x|^2.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", X, X)
+        bound = (4 * count + 1) * sq.max()
+    if not np.isfinite(bound):
+        raise ValueError(OVERFLOW)
     score = np.empty(X.shape[0])
     out = np.empty(count, dtype=np.int64)
     S = np.zeros(X.shape[1])

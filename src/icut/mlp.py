@@ -50,7 +50,9 @@ class TrainedClassifier:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
             raise ValueError("feature dimension mismatch")
-        H = np.maximum(X @ self.W1 + self.b1, 0.0)
+        H = X @ self.W1
+        H += self.b1
+        np.maximum(H, 0.0, out=H)
         Z = H @ self.W2 + self.b2
         if self.num_classes == 2:
             p1 = _sigmoid(Z[:, 0])
@@ -58,16 +60,15 @@ class TrainedClassifier:
         return _softmax(Z)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
+        P = self.predict_proba(X)
+        if self.num_classes == 2:
+            return (P[:, 1] > P[:, 0]).astype(np.int64)  # argmax: ties go to class 0
+        return P.argmax(axis=1)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) below: never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def _softmax(Z: np.ndarray) -> np.ndarray:
@@ -133,22 +134,37 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
     params = init_params(train.d, config.hidden_units, out_units, rng)
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    lr = config.learning_rate
     t = 0
     model = TrainedClassifier(*params, num_classes=C)  # updated in place below
     if trace:
         model.trace = np.zeros((config.epochs, train.n), dtype=bool)
     for epoch in range(config.epochs):
         order = rng.permutation(train.n)
+        Xo, yo = X[order], y[order]
         for start in range(0, train.n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            _, grads = loss_and_grads(params, X[idx], y[idx], C)
+            stop = start + config.batch_size
+            _, grads = loss_and_grads(params, Xo[start:stop], yo[start:stop], C)
             t += 1
-            for i, g in enumerate(grads):
-                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * g
-                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * g * g
-                mhat = m[i] / (1.0 - ADAM_BETA1**t)
-                vhat = v[i] / (1.0 - ADAM_BETA2**t)
-                params[i] -= config.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+            # Adam in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            # with m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g.
+            for p, g, mi, vi, (s, u) in zip(params, grads, m, v, scratch):
+                mi *= ADAM_BETA1
+                np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+                mi += s
+                vi *= ADAM_BETA2
+                np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+                s *= g
+                vi += s
+                np.divide(mi, c1, out=s)
+                s *= lr
+                np.divide(vi, c2, out=u)
+                np.sqrt(u, out=u)
+                u += ADAM_EPS
+                s /= u
+                p -= s
         if trace:
             model.trace[epoch] = model.predict(X) == y
     return model

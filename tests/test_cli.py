@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import icut.cli as cli
-from icut import CutstatsConfig, MlpConfig, round_half_up
+from icut import CutstatsConfig, LabeledDataset, MlpConfig, kernels, round_half_up
 from icut.cli import main
 from icut.core import METHODS
 from icut.experiment import ExperimentConfig, select
 from icut.io import (read_csv, read_dataset_csv, read_embedding_csv,
-                     read_selection_csv, read_subset, write_embedding_csv)
+                     read_selection_csv, read_subset, write_dataset_csv,
+                     write_embedding_csv)
 
 
 def run_cli(capsys, *argv):
@@ -284,6 +285,19 @@ def test_exp_nonfinite_train_file_is_a_load_error(capsys, workdir, tmp_path):
                            "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: [load] non-finite")
+
+
+@pytest.mark.parametrize("kind", ["identity", "sort", "l2norm"])
+def test_exp_overflowing_features_are_a_select_error(capsys, workdir, tmp_path, kind):
+    noisy = read_dataset_csv(workdir / "noisy.csv")
+    huge = tmp_path / "huge.csv"
+    write_dataset_csv(LabeledDataset(features=noisy.features * 1e160,
+                                     noisy_labels=noisy.noisy_labels, num_classes=2,
+                                     ids=noisy.ids, true_labels=noisy.true_labels), huge)
+    code, _, err = run_cli(capsys, "exp", "--train", str(huge), "--kind", kind,
+                           "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: [select] {kernels.OVERFLOW}\n"
 
 
 def test_bounds_prints_window_and_writes_csv(capsys, tmp_path):

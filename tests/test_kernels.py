@@ -54,12 +54,30 @@ def _gram_case(kind, n, rng):
     return rng.normal(size=(n, int(kind.split("-")[1])))
 
 
-# 300 rows in blocks of 64: four full blocks and a partial one of 44
-@pytest.mark.parametrize("kind,k", [("width-2", 10), ("width-5", 10), ("width-32", 10),
-                                    ("duplicates", 10), ("grid", 30), ("offset", 10),
-                                    ("width-3", 299)])
-def test_gram_path_across_several_blocks_matches_full_sort(kind, k, monkeypatch):
+# 300 rows in blocks of 64: four full blocks and a partial one of 44.  A
+# small rescoring budget splits each block into several chunks of rows: a
+# budget of 1 rescores one row at a time.
+@pytest.mark.parametrize("kind,k,budget", [
+    *(pytest.param(kind, k, None, id=f"{kind}-{k}")
+      for kind, k in [("width-2", 10), ("width-5", 10), ("width-32", 10), ("duplicates", 10),
+                      ("grid", 30), ("offset", 10), ("width-3", 299)]),
+    *(pytest.param(kind, k, budget, id=f"{kind}-{k}-budget{budget}")
+      for kind, k, budget in [("width-32", 10, 2000), ("duplicates", 10, 3000),
+                              ("grid", 30, 1), ("offset", 10, 2000), ("width-3", 299, 1),
+                              ("width-3", 299, 6000)]),
+])
+def test_gram_path_across_several_blocks_matches_full_sort(kind, k, budget, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64 * 300)
+    chunks = []
+    if budget is not None:
+        monkeypatch.setattr(kernels, "RESCORE_ELEMENTS", budget)
+        rescore = kernels._rescore
+
+        def counted(X, rank, mask, counts, *rest):
+            chunks.append(counts.size)
+            rescore(X, rank, mask, counts, *rest)
+
+        monkeypatch.setattr(kernels, "_rescore", counted)
     rng = np.random.default_rng(len(kind) + k)
     X = _gram_case(kind, 300, rng)
     rank = rng.permutation(300).astype(np.int64)
@@ -67,15 +85,13 @@ def test_gram_path_across_several_blocks_matches_full_sort(kind, k, monkeypatch)
     rows, dists = _full_sort(X, rank, k, range(300))
     assert np.array_equal(pos, rows)
     assert np.array_equal(d2, dists)
+    if budget is not None:
+        assert sum(chunks) == 300 and len(chunks) > 10  # over two chunks per block
 
 
-def test_gram_path_memory_does_not_grow_with_n_squared():
-    # One 4000 x 4000 block of distances alone is 128 MB; the two reused
-    # block buffers hold 2 x 8 MB.
-    rng = np.random.default_rng(9)
-    n, k = 4000, 20
-    X = rng.normal(size=(n, 32))
-    rank = rng.permutation(n).astype(np.int64)
+def _assert_small_and_exact(X, rank, k, rng):
+    """Traced peak under 32 MB, and sampled rows (both sides of a block edge) exact."""
+    n = X.shape[0]
     tracemalloc.start()
     try:
         pos, d2 = kernels.neighbor_table(X, rank, k)
@@ -89,6 +105,28 @@ def test_gram_path_memory_does_not_grow_with_n_squared():
     rows, dists = _full_sort(X, rank, k, check)
     assert np.array_equal(pos[check], rows)
     assert np.array_equal(d2[check], dists)
+
+
+def test_gram_path_memory_does_not_grow_with_n_squared():
+    # One 4000 x 4000 block of distances alone is 128 MB; the reused block
+    # buffers hold 2 x 8 MB and the candidate mask 1 MB.
+    rng = np.random.default_rng(9)
+    n = 4000
+    X = rng.normal(size=(n, 32))
+    _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
+
+
+@pytest.mark.parametrize("kind", ["identical", "underflow"])
+def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
+    # Every entry of every block is a candidate: identical rows, or rows whose
+    # gram products underflow to 0.  Rescoring in chunks keeps the memory bound.
+    rng = np.random.default_rng(10)
+    n = 4000
+    if kind == "identical":
+        X = np.tile(rng.normal(size=32), (n, 1))
+    else:
+        X = rng.normal(size=(n, 32)) * 1e-170
+    _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
 
 
 SHIFTS = [(offset, scale) for offset in (0.0, 1e5, 1e7) for scale in (1e-3, 1.0, 1e3)]

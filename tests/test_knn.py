@@ -1,10 +1,12 @@
 """Exact neighbor tables against an independent O(n^2) scan."""
 
+import re
+
 import numpy as np
 import pytest
 
 from icut import (LabeledDataset, build_neighbor_table, compute_representation,
-                  estimate_class_accuracies, knn_predict)
+                  estimate_class_accuracies, herding_select, knn_predict, kernels)
 from icut.datagen import haar_rotation
 from conftest import oracle_neighbors, random_dataset
 
@@ -117,6 +119,31 @@ def test_head_rejects_widths_outside_the_table():
     for k in (0, 3):
         with pytest.raises(ValueError, match="k must satisfy 1 <= k <= 2"):
             table.head(k)
+
+
+def _scaled(ds, factor):
+    return LabeledDataset(features=ds.features * factor, noisy_labels=ds.noisy_labels,
+                          num_classes=ds.num_classes, ids=ds.ids)
+
+
+@pytest.mark.parametrize("kind", ["identity", "sort", "l2norm"])
+def test_overflowing_scale_is_a_named_error(kind):
+    # squares of 1e160 overflow: the l2norm map itself is inf, and the others'
+    # squared distances would be, so tables and herding refuse the input
+    rep = compute_representation(_scaled(random_dataset(30, 4, seed=21), 1e160), kind)
+    with pytest.raises(ValueError, match=re.escape(kernels.OVERFLOW)):
+        build_neighbor_table(rep, 5)
+    with pytest.raises(ValueError, match=re.escape(kernels.OVERFLOW)):
+        herding_select(rep, 0.5)
+
+
+def test_large_finite_scale_stays_exact():
+    ds = _scaled(random_dataset(60, 6, seed=22, shuffle_ids=True), 1e150)
+    rep = compute_representation(ds, "identity")
+    table = build_neighbor_table(rep, 5)
+    rows, dists = oracle_neighbors(ds.features, ds.ids, 5)
+    assert np.array_equal(table.neighbor_rows, rows)
+    assert np.allclose(table.distances, dists, rtol=1e-12, atol=0.0)
 
 
 def test_table_shape_validation():

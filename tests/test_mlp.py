@@ -1,5 +1,7 @@
 """From-scratch MLP: gradients, training behavior, scores, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,34 @@ def test_trace_is_opt_in_and_leaves_training_unchanged():
     assert plain.trace is None and traced.trace.shape == (3, ds.n)
     for name in ("W1", "b1", "W2", "b2"):
         assert np.array_equal(getattr(plain, name), getattr(traced, name))
+
+
+def _centered_blobs(n_per, seed, num_classes):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(size=(num_classes, 4)) * 2
+    feats = np.vstack([rng.normal(size=(n_per, 4)) * 0.8 + c for c in centers])
+    labels = np.repeat(np.arange(num_classes), n_per)
+    return LabeledDataset(features=feats, noisy_labels=labels, num_classes=num_classes,
+                          ids=np.arange(labels.size), true_labels=labels)
+
+
+# Digests of the float64 parameters (and the packed trace), taken from the
+# straightforward out-of-place Adam step; batches of 32 leave a partial last one.
+@pytest.mark.parametrize("num_classes,seed,traced,digest", [
+    (2, 3, True, "08bf07625a8fe0093c4506bbc4cd50b267d93800aa322c09cffd32a91dfa96dd"),
+    (3, 4, False, "af2fd025d78f4ae2d56740c31029d15ced0d8837c181582dccf4eee22bea303d"),
+])
+def test_trained_parameters_are_pinned_bit_for_bit(num_classes, seed, traced, digest):
+    n_per = 70 if num_classes == 2 else 50
+    ds = _centered_blobs(n_per, seed=9 + num_classes, num_classes=num_classes)
+    model = train_mlp(ds, MlpConfig(hidden_units=8, epochs=6, batch_size=32), seed=seed,
+                      trace=traced)
+    h = hashlib.sha256()
+    for arr in (model.W1, model.b1, model.W2, model.b2):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    if traced:
+        h.update(np.packbits(model.trace).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_softmax_probabilities_sum_to_one():
