@@ -19,8 +19,7 @@ from .mlp import (MlpConfig, TrainedClassifier, entropy_scores, evaluate,
                   forgetting_counts, load_classifier, save_classifier, train_mlp)
 from .baselines import herding_select, random_scores
 from .representation import (RepresentedDataset, compute_representation,
-                             estimate_invariance_error, load_external_representation,
-                             perturb_representation)
+                             load_external_representation, perturb_representation)
 from .theory import (FeasibilityReport, WindowParams, check_corollary,
                      check_sorted_density, feasibility_window, subset_error_rates,
                      unit_ball_log_volume, validate_prop1_monte_carlo)
@@ -40,7 +39,7 @@ __all__ = [
     "MlpConfig", "TrainedClassifier", "entropy_scores", "evaluate",
     "forgetting_counts", "load_classifier", "save_classifier", "train_mlp",
     "herding_select", "random_scores",
-    "RepresentedDataset", "compute_representation", "estimate_invariance_error",
+    "RepresentedDataset", "compute_representation",
     "load_external_representation", "perturb_representation",
     "FeasibilityReport", "WindowParams", "check_corollary",
     "check_sorted_density", "feasibility_window", "subset_error_rates",

@@ -131,6 +131,15 @@ def generate_synthetic(spec: SyntheticSpec,
     return train, test
 
 
+def draw_group_element(group: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """One uniform group element's draws: d x d normals (orthogonal) or a permutation."""
+    if group == "orthogonal":
+        return rng.standard_normal((d, d))
+    if group == "permutation":
+        return rng.permutation(d)
+    raise ValueError(f"unknown group {group!r}")
+
+
 def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """A Haar-uniform rotation from SO(d).
 
@@ -140,8 +149,7 @@ def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """
     if d < 1:
         raise ValueError("d must be positive")
-    A = rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(A)
+    Q, R = np.linalg.qr(draw_group_element("orthogonal", d, rng))
     signs = np.sign(np.diag(R))
     signs[signs == 0] = 1.0
     Q = Q * signs
@@ -158,9 +166,7 @@ def apply_group_action(group: str, x: np.ndarray, seed) -> np.ndarray:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if group == "orthogonal":
         return haar_rotation(x.size, rng) @ x
-    if group == "permutation":
-        return x[rng.permutation(x.size)]
-    raise ValueError(f"unknown group {group!r}")
+    return x[draw_group_element(group, x.size, rng)]
 
 
 def inject_label_noise(dataset: LabeledDataset, noise: NoiseSpec,

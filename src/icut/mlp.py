@@ -22,6 +22,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+OVERFLOW = "features too large to train on: squared feature norms overflow float64"
+
 
 @dataclass(frozen=True)
 class MlpConfig:
@@ -127,6 +129,10 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
     if train.n == 0:
         raise ValueError("empty selection")
     X = train.features
+    # Adam squares gradients that carry x: an overflowing |x|^2 stalls its weights.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.einsum("ij,ij->i", X, X).max()):
+            raise ValueError(OVERFLOW)
     y = train.noisy_labels
     C = train.num_classes
     out_units = 1 if C == 2 else C

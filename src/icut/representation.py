@@ -1,21 +1,28 @@
-"""Representation maps, invariance-error estimation, and controlled corruption.
+"""Representation maps and controlled corruption.
 
 Three built-in maps (identity, the rotation-invariant l2 norm, the
 permutation-invariant coordinate sort) plus ingestion of externally
 computed embeddings.  ``perturb_representation`` adds calibrated Gaussian
 noise to the l2norm map so its realized invariance error hits a requested
-level -- the knob behind the invariance-error ablation.
+level -- the knob behind the invariance-error ablation.  Its calibration
+applies no group action (||g.x|| = ||x||), but still draws each group
+element, so the random stream and every result stay those of one that does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .core import LabeledDataset, REPRESENTATION_KINDS
-from .datagen import apply_group_action
+from .datagen import draw_group_element
+from .kernels import OVERFLOW
+
+# Monte Carlo (x, g.x) pairs, and the relative band around the target.
+CALIBRATION_TRIALS = 4000
+CALIBRATION_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -76,42 +83,20 @@ def load_external_representation(dataset: LabeledDataset, path) -> RepresentedDa
     return RepresentedDataset(base=dataset, representations=reps[lookup], kind="external")
 
 
-def estimate_invariance_error(
-    fn: Callable[[np.ndarray], float],
-    group: str,
-    dataset: LabeledDataset,
-    trials: int = 2000,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo E|fn(x) - fn(g.x)| over dataset points and group draws."""
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 17]))
-    total = 0.0
-    for _ in range(trials):
-        x = dataset.features[rng.integers(dataset.n)]
-        gx = apply_group_action(group, x, rng)
-        total += abs(float(fn(x)) - float(fn(gx)))
-    return total / trials
-
-
-def perturb_representation(
-    rep: RepresentedDataset,
-    target_error: float,
-    group: str = "orthogonal",
-    seed: int = 0,
-    tolerance: float = 0.05,
-    trials: int = 4000,
-) -> Tuple[RepresentedDataset, float]:
+def perturb_representation(rep: RepresentedDataset, target_error: float,
+                           group: str = "orthogonal",
+                           seed: int = 0) -> Tuple[RepresentedDataset, float]:
     """Gaussian-corrupt an l2norm representation to a target invariance error.
 
     The corrupted map is F'(x) = ||x|| + noise(sigma), fresh noise per
     evaluation.  The scale is found by bisection against the Monte Carlo
-    invariance-error estimate of that map until the realized error is
-    within ``tolerance`` relative of ``target_error``.  Returns the
-    perturbed dataset and the realized error.
+    estimate of E|F'(x) - F'(g.x)| over ``CALIBRATION_TRIALS`` pairs until
+    the realized error is within ``CALIBRATION_TOLERANCE`` relative of
+    ``target_error``.  Returns the perturbed dataset and the realized error.
+
+    No group action is applied: ||g.x|| = ||x|| for every rotation and
+    permutation.  Each pair still draws its group element, so the unit noise
+    that follows, sigma and the result equal those of acting on each x.
     """
     if rep.kind != "l2norm":
         raise ValueError("perturbation is defined for the l2norm representation")
@@ -119,6 +104,8 @@ def perturb_representation(
         raise ValueError("target error must be non-negative")
     if target_error == 0.0:
         return rep, 0.0
+    if not np.all(np.isfinite(rep.representations)):
+        raise ValueError(OVERFLOW)
 
     root = np.random.SeedSequence([int(seed) & (2**63 - 1), 19])
     measure_seed, apply_seed = root.spawn(2)
@@ -128,14 +115,13 @@ def perturb_representation(
     # reduction and, crucially, exactly monotone in sigma, so bisection
     # cannot stall on Monte Carlo jitter.
     rng = np.random.default_rng(measure_seed)
-    rows = rng.integers(rep.base.n, size=trials)
+    rows = rng.integers(rep.base.n, size=CALIBRATION_TRIALS)
     base_vals = np.array([np.linalg.norm(rep.base.features[r]) for r in rows])
-    acted_vals = np.array([
-        np.linalg.norm(apply_group_action(group, rep.base.features[r], rng))
-        for r in rows
-    ])
-    u1 = rng.standard_normal(trials)
-    u2 = rng.standard_normal(trials)
+    for _ in rows:
+        draw_group_element(group, rep.base.d, rng)
+    acted_vals = base_vals  # ||g.x|| = ||x||
+    u1 = rng.standard_normal(CALIBRATION_TRIALS)
+    u2 = rng.standard_normal(CALIBRATION_TRIALS)
 
     def realized(sigma: float) -> float:
         return float(np.mean(np.abs(base_vals + sigma * u1 - acted_vals - sigma * u2)))
@@ -149,7 +135,7 @@ def perturb_representation(
         raise ValueError("calibration failed to bracket the target error")
     sigma, got = hi, realized(hi)
     for _ in range(200):
-        if abs(got - target_error) <= tolerance * target_error:
+        if abs(got - target_error) <= CALIBRATION_TOLERANCE * target_error:
             break
         mid = 0.5 * (lo + hi)
         got_mid = realized(mid)
@@ -158,7 +144,7 @@ def perturb_representation(
         else:
             hi = mid
         sigma, got = mid, got_mid
-    if abs(got - target_error) > tolerance * target_error:
+    if abs(got - target_error) > CALIBRATION_TOLERANCE * target_error:
         raise ValueError("calibration failed to converge")
 
     noise_rng = np.random.default_rng(apply_seed)

@@ -204,10 +204,11 @@ def test_criterion_07_invariance_error_ablation(tmp_path):
     rises = [b - a for a, b in zip(subs, subs[1:]) if b > a]
     drop = subs[0] - subs[-1]
     elapsed = time.perf_counter() - t0
-    _check(7, len(rises) <= 1 and all(r <= 1.0 for r in rises) and drop >= 5.0,
+    _check(7, len(rises) <= 1 and all(r <= 1.0 for r in rises) and drop >= 5.0
+           and elapsed < 60.0,
            f"subset accuracy {' -> '.join(f'{v:.2f}' for v in subs)}, "
            f"{len(rises)} inversion(s) of {max(rises) if rises else 0.0:.2f} "
-           f"[<= 1 of <= 1pt], endpoint drop {drop:.2f} [>= 5], {elapsed:.0f}s")
+           f"[<= 1 of <= 1pt], endpoint drop {drop:.2f} [>= 5], {elapsed:.0f}s [< 60s]")
 
 
 def test_criterion_08_feasibility_window():

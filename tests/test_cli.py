@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import icut.cli as cli
-from icut import CutstatsConfig, LabeledDataset, MlpConfig, kernels, round_half_up
+from icut import CutstatsConfig, LabeledDataset, MlpConfig, kernels, mlp, round_half_up
 from icut.cli import main
 from icut.core import METHODS
 from icut.experiment import ExperimentConfig, select
@@ -287,17 +287,25 @@ def test_exp_nonfinite_train_file_is_a_load_error(capsys, workdir, tmp_path):
     assert err.startswith("error: [load] non-finite")
 
 
-@pytest.mark.parametrize("kind", ["identity", "sort", "l2norm"])
-def test_exp_overflowing_features_are_a_select_error(capsys, workdir, tmp_path, kind):
+@pytest.mark.parametrize("args, stage, message", [
+    pytest.param(["--kind", "identity"], "select", kernels.OVERFLOW, id="identity"),
+    pytest.param(["--kind", "sort"], "select", kernels.OVERFLOW, id="sort"),
+    pytest.param(["--kind", "l2norm"], "select", kernels.OVERFLOW, id="l2norm"),
+    pytest.param(["--kind", "l2norm", "--target-error", "0.1"], "represent",
+                 kernels.OVERFLOW, id="l2norm-target-error"),
+    pytest.param(["--method", "entropy"], "train", mlp.OVERFLOW, id="entropy"),
+])
+def test_exp_overflowing_features_are_a_select_error(capsys, workdir, tmp_path, args,
+                                                     stage, message):
     noisy = read_dataset_csv(workdir / "noisy.csv")
     huge = tmp_path / "huge.csv"
     write_dataset_csv(LabeledDataset(features=noisy.features * 1e160,
                                      noisy_labels=noisy.noisy_labels, num_classes=2,
                                      ids=noisy.ids, true_labels=noisy.true_labels), huge)
-    code, _, err = run_cli(capsys, "exp", "--train", str(huge), "--kind", kind,
+    code, _, err = run_cli(capsys, "exp", "--train", str(huge), *args,
                            "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
     assert code == 1
-    assert err == f"error: [select] {kernels.OVERFLOW}\n"
+    assert err == f"error: [{stage}] {message}\n"
 
 
 def test_bounds_prints_window_and_writes_csv(capsys, tmp_path):
