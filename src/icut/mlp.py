@@ -5,6 +5,14 @@ cross-entropy; more classes switch to softmax + cross-entropy.  Training
 can record a per-epoch, per-sample correctness trace against the training
 labels, which feeds the forgetting-count baseline.  Everything is plain
 numpy and bit-for-bit deterministic given the seed.
+
+One function, ``_step``, computes the gradients into preallocated arrays;
+``loss_and_grads`` adds the loss to it, and training, which has no use for
+the loss, calls it alone.  During training the parameters, gradients and
+Adam moments are views of flat buffers, so each Adam operation is one
+elementwise call per step over every parameter.  Elementwise results do
+not depend on how the elements are grouped, so this trains the same
+parameters, bit for bit, as one update per parameter array.
 """
 
 from __future__ import annotations
@@ -91,32 +99,54 @@ def init_params(d: int, hidden: int, out: int, rng: np.random.Generator):
     ]
 
 
-def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
-    """Mean loss over the batch and gradients for [W1, b1, W2, b2]."""
+def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.ndarray:
+    """Fill ``grads`` with the batch gradients for [W1, b1, W2, b2].
+
+    Returns the predicted probabilities: p(class 1) for binary targets, the
+    softmax rows otherwise.
+    """
     W1, b1, W2, b2 = params
+    gW1, gb1, gW2, gb2 = grads
     B = X.shape[0]
-    Z1 = X @ W1 + b1
-    H = np.maximum(Z1, 0.0)
+    H = X @ W1
+    H += b1
+    np.maximum(H, 0.0, out=H)  # ReLU in place: H > 0 exactly where X W1 + b1 > 0
     Z2 = H @ W2 + b2
     if num_classes == 2:
-        p = _sigmoid(Z2[:, 0])
-        yf = y.astype(np.float64)
-        eps = 1e-12
-        loss = -np.mean(yf * np.log(p + eps) + (1.0 - yf) * np.log(1.0 - p + eps))
-        dZ2 = ((p - yf) / B)[:, None]
+        probs = _sigmoid(Z2[:, 0])
+        dZ2 = ((probs - y) / B)[:, None]
+        dH = dZ2 * W2.T        # a k = 1 product: one multiplication per entry
     else:
-        P = _softmax(Z2)
-        loss = -np.mean(np.log(P[np.arange(B), y] + 1e-12))
-        dZ2 = P.copy()
+        probs = _softmax(Z2)
+        dZ2 = probs.copy()
         dZ2[np.arange(B), y] -= 1.0
         dZ2 /= B
-    gW2 = H.T @ dZ2
-    gb2 = dZ2.sum(axis=0)
-    dH = dZ2 @ W2.T
-    dZ1 = dH * (Z1 > 0)
-    gW1 = X.T @ dZ1
-    gb1 = dZ1.sum(axis=0)
-    return float(loss), [gW1, gb1, gW2, gb2]
+        dH = dZ2 @ W2.T
+    np.matmul(H.T, dZ2, out=gW2)
+    np.sum(dZ2, axis=0, out=gb2)
+    dH *= H > 0
+    np.matmul(X.T, dH, out=gW1)
+    np.sum(dH, axis=0, out=gb1)
+    return probs
+
+
+def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
+    """Mean loss over the batch and gradients for [W1, b1, W2, b2]."""
+    grads = [np.empty_like(p) for p in params]
+    probs = _step(params, X, y, num_classes, grads)
+    if num_classes == 2:
+        yf = y.astype(np.float64)
+        eps = 1e-12
+        loss = -np.mean(yf * np.log(probs + eps) + (1.0 - yf) * np.log(1.0 - probs + eps))
+    else:
+        loss = -np.mean(np.log(probs[np.arange(X.shape[0]), y] + 1e-12))
+    return float(loss), grads
+
+
+def _views(flat: np.ndarray, like):
+    """Views of ``flat``, back to back, shaped as the arrays of ``like``."""
+    ends = np.cumsum([a.size for a in like])
+    return [flat[e - a.size:e].reshape(a.shape) for a, e in zip(like, ends)]
 
 
 def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
@@ -137,10 +167,10 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
     C = train.num_classes
     out_units = 1 if C == 2 else C
     rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 23]))
-    params = init_params(train.d, config.hidden_units, out_units, rng)
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+    init = init_params(train.d, config.hidden_units, out_units, rng)
+    flat = np.concatenate([p.ravel() for p in init])
+    g, m, v, s, u = (np.zeros_like(flat) for _ in range(5))
+    params, grads = _views(flat, init), _views(g, init)
     lr = config.learning_rate
     t = 0
     model = TrainedClassifier(*params, num_classes=C)  # updated in place below
@@ -151,26 +181,25 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
         Xo, yo = X[order], y[order]
         for start in range(0, train.n, config.batch_size):
             stop = start + config.batch_size
-            _, grads = loss_and_grads(params, Xo[start:stop], yo[start:stop], C)
+            _step(params, Xo[start:stop], yo[start:stop], C, grads)
             t += 1
             c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
             # Adam in place, rounding as p -= lr * (m / c1) / (sqrt(v / c2) + eps)
             # with m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g.
-            for p, g, mi, vi, (s, u) in zip(params, grads, m, v, scratch):
-                mi *= ADAM_BETA1
-                np.multiply(g, 1.0 - ADAM_BETA1, out=s)
-                mi += s
-                vi *= ADAM_BETA2
-                np.multiply(g, 1.0 - ADAM_BETA2, out=s)
-                s *= g
-                vi += s
-                np.divide(mi, c1, out=s)
-                s *= lr
-                np.divide(vi, c2, out=u)
-                np.sqrt(u, out=u)
-                u += ADAM_EPS
-                s /= u
-                p -= s
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+            m += s
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)
+            s *= lr
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            u += ADAM_EPS
+            s /= u
+            flat -= s
         if trace:
             model.trace[epoch] = model.predict(X) == y
     return model

@@ -56,7 +56,10 @@ def compute_representation(dataset: LabeledDataset, kind: str) -> RepresentedDat
     if kind == "identity":
         reps = dataset.features.copy()
     elif kind == "l2norm":
-        reps = np.linalg.norm(dataset.features, axis=1)[:, None]
+        with np.errstate(over="ignore"):  # squares from about 1e154 up overflow
+            reps = np.linalg.norm(dataset.features, axis=1)[:, None]
+        if not np.all(np.isfinite(reps)):
+            raise ValueError(OVERFLOW)
     elif kind == "sort":
         reps = np.sort(dataset.features, axis=1)
     else:

@@ -290,7 +290,7 @@ def test_exp_nonfinite_train_file_is_a_load_error(capsys, workdir, tmp_path):
 @pytest.mark.parametrize("args, stage, message", [
     pytest.param(["--kind", "identity"], "select", kernels.OVERFLOW, id="identity"),
     pytest.param(["--kind", "sort"], "select", kernels.OVERFLOW, id="sort"),
-    pytest.param(["--kind", "l2norm"], "select", kernels.OVERFLOW, id="l2norm"),
+    pytest.param(["--kind", "l2norm"], "represent", kernels.OVERFLOW, id="l2norm"),
     pytest.param(["--kind", "l2norm", "--target-error", "0.1"], "represent",
                  kernels.OVERFLOW, id="l2norm-target-error"),
     pytest.param(["--method", "entropy"], "train", mlp.OVERFLOW, id="entropy"),

@@ -234,6 +234,20 @@ def test_herding_matches_plain_loop_oracle(seed, d):
     assert np.array_equal(kernels.herding_greedy(X, mu, 50), oracle_herding(X, mu, 50))
 
 
+@pytest.mark.parametrize("d", [1, 5, 100])
+@pytest.mark.parametrize("layout", ["duplicates", "grid"])
+def test_herding_ties_go_to_the_earliest_row(layout, d):
+    # exact duplicates score alike in any layout, and so do grid rows of
+    # equal score: each tie must go to the earliest row, as in the oracle
+    rng = np.random.default_rng(40 + d)
+    if layout == "duplicates":
+        X = rng.normal(size=(30, d))[rng.integers(30, size=300)]
+    else:
+        X = rng.integers(-2, 3, size=(300, d)).astype(np.float64)
+    mu = X.mean(axis=0)
+    assert np.array_equal(kernels.herding_greedy(X, mu, 60), oracle_herding(X, mu, 60))
+
+
 def test_herding_first_pick_is_nearest_to_target():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(64, 3))

@@ -120,6 +120,8 @@ def _centered_blobs(n_per, seed, num_classes):
 @pytest.mark.parametrize("num_classes,seed,traced,digest", [
     (2, 3, True, "08bf07625a8fe0093c4506bbc4cd50b267d93800aa322c09cffd32a91dfa96dd"),
     (3, 4, False, "af2fd025d78f4ae2d56740c31029d15ced0d8837c181582dccf4eee22bea303d"),
+    (2, 5, False, "f541a4ff2524bc9e59f4dea4bac3ae769b3ac9cde87f35964f68807aad415f28"),
+    (3, 6, True, "fc7dd3381975d75553bee5692ddf02a592fb02776a89c6427b15c8120a06a40b"),
 ])
 def test_trained_parameters_are_pinned_bit_for_bit(num_classes, seed, traced, digest):
     n_per = 70 if num_classes == 2 else 50
