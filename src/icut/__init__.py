@@ -9,8 +9,8 @@ and check the supporting theory numerically.
 from .core import (LabeledDataset, Metrics, SelectionResult, balanced_error,
                    rank_select, round_half_up, subset_accuracy, summarize_runs)
 from .cutstats import CutstatsConfig, class_priors, cutstats_scores
-from .datagen import (NoiseSpec, SyntheticSpec, apply_group_action,
-                      generate_synthetic, generating_function, inject_label_noise)
+from .datagen import (NoiseSpec, SyntheticSpec, generate_synthetic, generating_function,
+                      inject_label_noise)
 from .experiment import (ExperimentConfig, StageError, run_ablation, run_bounds,
                          run_experiment, run_seed)
 from .knn import (NeighborTable, build_neighbor_table, estimate_class_accuracies,
@@ -30,8 +30,8 @@ __all__ = [
     "LabeledDataset", "Metrics", "SelectionResult", "balanced_error",
     "rank_select", "round_half_up", "subset_accuracy", "summarize_runs",
     "CutstatsConfig", "class_priors", "cutstats_scores",
-    "NoiseSpec", "SyntheticSpec", "apply_group_action", "generate_synthetic",
-    "generating_function", "inject_label_noise",
+    "NoiseSpec", "SyntheticSpec", "generate_synthetic", "generating_function",
+    "inject_label_noise",
     "ExperimentConfig", "StageError", "run_ablation", "run_bounds",
     "run_experiment", "run_seed",
     "NeighborTable", "build_neighbor_table", "estimate_class_accuracies",

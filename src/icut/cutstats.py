@@ -40,7 +40,7 @@ class CutstatsConfig:
                 raise ValueError("priors must be 'empirical' or an explicit sequence")
         else:
             p = np.asarray(self.priors, dtype=np.float64)
-            if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
+            if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):
                 raise ValueError("fixed priors must be non-negative and sum to 1")
             object.__setattr__(self, "priors", tuple(float(v) for v in p))
 

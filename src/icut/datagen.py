@@ -131,44 +131,6 @@ def generate_synthetic(spec: SyntheticSpec,
     return train, test
 
 
-def draw_group_element(group: str, d: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform group element's draws: d x d normals (orthogonal) or a permutation."""
-    if group == "orthogonal":
-        return rng.standard_normal((d, d))
-    if group == "permutation":
-        return rng.permutation(d)
-    raise ValueError(f"unknown group {group!r}")
-
-
-def haar_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-uniform rotation from SO(d).
-
-    QR of a standard normal matrix, columns sign-fixed by the diagonal of
-    R for uniformity over O(d); one column is flipped when det = -1 to
-    land in SO(d).
-    """
-    if d < 1:
-        raise ValueError("d must be positive")
-    Q, R = np.linalg.qr(draw_group_element("orthogonal", d, rng))
-    signs = np.sign(np.diag(R))
-    signs[signs == 0] = 1.0
-    Q = Q * signs
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] = -Q[:, 0]
-    return Q
-
-
-def apply_group_action(group: str, x: np.ndarray, seed) -> np.ndarray:
-    """g . x for a group element drawn uniformly (identity included)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("x must be a nonempty vector")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    if group == "orthogonal":
-        return haar_rotation(x.size, rng) @ x
-    return x[draw_group_element(group, x.size, rng)]
-
-
 def inject_label_noise(dataset: LabeledDataset, noise: NoiseSpec,
                        seed: int = 0) -> LabeledDataset:
     """Flip each true label w.p. p to a uniformly chosen different class."""

@@ -8,6 +8,7 @@ rounded percentages; both are byte-identical across reruns.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
@@ -80,7 +81,7 @@ class ExperimentConfig:
         if len(self.seeds) == 0:
             raise ValueError("seeds must be non-empty")
         if self.invariance_target is not None:
-            if self.invariance_target < 0:
+            if not 0.0 <= self.invariance_target < math.inf:
                 raise ValueError("target error must be non-negative")
             if self.representation_kind != "l2norm":
                 raise ValueError("a target error needs the l2norm representation")
@@ -124,9 +125,8 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
             rep = once("rep", "represent", compute_representation, noisy,
                        config.representation_kind)
         if target is not None:
-            group = config.synthetic.group if config.synthetic is not None else "orthogonal"
             rep, realized = once(("perturbed", target), "represent", perturb_representation,
-                                 rep, target, group=group, seed=seed)
+                                 rep, target, seed=seed)
         if config.method == "herding":
             return _staged("select", herding_select, rep, tau), realized
         table = once(("table", target), "select", build_neighbor_table, rep, width or k)

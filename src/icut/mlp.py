@@ -17,6 +17,7 @@ parameters, bit for bit, as one update per parameter array.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +44,7 @@ class MlpConfig:
     def __post_init__(self):
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("all MLP config counts must be positive")
-        if self.learning_rate <= 0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise ValueError("learning rate must be positive")
 
 

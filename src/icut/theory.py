@@ -96,7 +96,7 @@ class WindowParams:
         if not (0.0 < self.rho <= 1.0):
             raise ValueError("rho must lie in (0, 1]")
         for name in ("n", "delta", "omega", "p0", "kl1"):
-            if getattr(self, name) <= 0:
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive")
 
 

@@ -1,4 +1,4 @@
-"""Shared test helpers: independent oracles and dataset factories.
+"""Shared test helpers: independent oracles, group actions and dataset factories.
 
 The oracles here are deliberately written as plain scans and straight-line
 formula transcriptions, independent of the package's vectorized kernels,
@@ -107,3 +107,51 @@ def oracle_zscores(reps, ids, labels, k, priors):
         sigma = math.sqrt(p * (1.0 - p) * sum_w2)
         z[i] = (J - mu) / sigma
     return z
+
+
+def haar_rotation(d, rng):
+    """A Haar-uniform rotation from SO(d).
+
+    QR of a standard normal matrix, columns sign-fixed by the diagonal of
+    R for uniformity over O(d); one column is flipped when det = -1 to
+    land in SO(d).
+    """
+    if d < 1:
+        raise ValueError("d must be positive")
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)))
+    signs = np.sign(np.diag(R))
+    signs[signs == 0] = 1.0
+    Q = Q * signs
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
+
+
+def apply_group_action(group, x, seed):
+    """g . x for a group element drawn uniformly (identity included)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("x must be a nonempty vector")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    if group == "orthogonal":
+        return haar_rotation(x.size, rng) @ x
+    if group == "permutation":
+        return x[rng.permutation(x.size)]
+    raise ValueError(f"unknown group {group!r}")
+
+
+def oracle_perturbation(values, target, seed=0):
+    """Straight-line closed-form perturbation of a column of l2norm values.
+
+    Draws u1 then u2 (one normal per value each) from SeedSequence([seed, 19]),
+    sets sigma = target / mean|u1 - u2|, and returns (values + sigma*u1, the
+    mean |(v + sigma*u1) - (v + sigma*u2)| over the values).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 19]))
+    u1 = [float(rng.standard_normal()) for _ in values]
+    u2 = [float(rng.standard_normal()) for _ in values]
+    n = len(values)
+    sigma = target / (math.fsum(abs(a - b) for a, b in zip(u1, u2)) / n)
+    out = [v + sigma * a for v, a in zip(values, u1)]
+    realized = math.fsum(abs(o - (v + sigma * b)) for o, v, b in zip(out, values, u2)) / n
+    return out, realized

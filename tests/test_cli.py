@@ -17,6 +17,7 @@ from icut.experiment import ExperimentConfig, select
 from icut.io import (read_csv, read_dataset_csv, read_embedding_csv,
                      read_selection_csv, read_subset, write_dataset_csv,
                      write_embedding_csv)
+from icut.representation import CALIBRATION_MISSED
 
 
 def run_cli(capsys, *argv):
@@ -308,6 +309,18 @@ def test_exp_overflowing_features_are_a_select_error(capsys, workdir, tmp_path, 
     assert err == f"error: [{stage}] {message}\n"
 
 
+def test_exp_target_error_lost_to_rounding_is_a_represent_error(capsys, workdir, tmp_path):
+    noisy = read_dataset_csv(workdir / "noisy.csv")
+    big = tmp_path / "big.csv"
+    write_dataset_csv(LabeledDataset(features=noisy.features * 1e17,
+                                     noisy_labels=noisy.noisy_labels, num_classes=2,
+                                     ids=noisy.ids, true_labels=noisy.true_labels), big)
+    code, _, err = run_cli(capsys, "exp", "--train", str(big), "--target-error", "0.1",
+                           "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: [represent] {CALIBRATION_MISSED}\n"
+
+
 def test_bounds_prints_window_and_writes_csv(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "bounds", "--d-range", "2:5",
                            "--out-dir", str(tmp_path))
@@ -354,6 +367,10 @@ BAD_GRIDS = {
     "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
     "invariance_error_with_negative": (["invariance_error", "--grid", "0.1,-0.1"],
                                        "target error must be non-negative"),
+    "invariance_error_with_nan": (["invariance_error", "--grid", "0,nan"],
+                                  "target error must be non-negative"),
+    "invariance_error_with_inf": (["invariance_error", "--grid", "0,inf"],
+                                  "target error must be non-negative"),
     "invariance_error_with_random": (["invariance_error", "--method", "random", "--grid", "0.2"],
                                      "needs a representation-based method"),
 }
@@ -375,9 +392,11 @@ def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
 
 @pytest.mark.parametrize("argv,message", [
     (["--target-error", "-0.1"], "target error must be non-negative"),
+    (["--target-error", "nan"], "target error must be non-negative"),
+    (["--target-error", "inf"], "target error must be non-negative"),
     (["--kind", "identity", "--target-error", "0.1"], "needs the l2norm representation"),
     (["--method", "random", "--target-error", "0.1"], "needs a representation-based method"),
-], ids=["negative", "identity_kind", "random_method"])
+], ids=["negative", "nan", "inf", "identity_kind", "random_method"])
 def test_exp_bad_target_error_is_a_usage_error_before_data_generation(
         capsys, tmp_path, monkeypatch, argv, message):
     def no_generation(*args, **kw):
@@ -463,6 +482,37 @@ def test_zero_valued_flags_are_usage_errors(capsys, workdir, tmp_path, verb, fla
     code, _, err = run_cli(capsys, verb, *base, flag, "0")
     assert code == 2
     assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+NONFINITE = {
+    "lr_nan": (["exp", "--lr", "nan"], "learning rate must be positive"),
+    "lr_inf": (["exp", "--lr", "inf"], "learning rate must be positive"),
+    "priors_nan": (["exp", "--priors", "nan,nan"],
+                   "fixed priors must be non-negative and sum to 1"),
+    "priors_inf": (["exp", "--priors", "inf,-inf"],
+                   "fixed priors must be non-negative and sum to 1"),
+    "delta_nan": (["bounds", "--delta", "nan"], "delta must be positive"),
+    "omega_inf": (["bounds", "--omega", "inf"], "omega must be positive"),
+    "p0_nan": (["bounds", "--p0", "nan"], "p0 must be positive"),
+    "kl1_inf": (["bounds", "--kl1", "inf"], "kl1 must be positive"),
+}
+
+
+@pytest.mark.parametrize("argv,message", NONFINITE.values(), ids=list(NONFINITE))
+def test_nonfinite_config_floats_are_usage_errors(capsys, tmp_path, monkeypatch, argv,
+                                                   message):
+    def no_generation(*args, **kw):
+        raise AssertionError("data was generated")
+    monkeypatch.setattr("icut.experiment.generate_synthetic", no_generation)
+    verb, *flags = argv
+    base = {"exp": ["--group", "orthogonal", "--d", "6", "--n-train", "120",
+                    "--n-test", "60", "--seed-list", "0"],
+            "bounds": ["--d-range", "2:5"]}[verb]
+    code, out, err = run_cli(capsys, verb, *base, *flags, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert message in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -6,8 +6,7 @@ import pytest
 from icut import (CutstatsConfig, LabeledDataset, SelectionResult,
                   build_neighbor_table, class_priors, compute_representation,
                   cutstats_scores, rank_select, subset_accuracy)
-from icut.datagen import haar_rotation
-from conftest import oracle_zscores, random_dataset
+from conftest import haar_rotation, oracle_zscores, random_dataset
 
 
 def _scores(ds, k, priors="empirical", kind="identity"):

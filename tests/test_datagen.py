@@ -1,12 +1,12 @@
-"""Synthetic generators, group actions, and label-noise injection."""
+"""Synthetic generators, the group-action oracles, and label-noise injection."""
 
 import numpy as np
 import pytest
 
-from icut import (LabeledDataset, NoiseSpec, SyntheticSpec, apply_group_action,
-                  generate_synthetic, generating_function, inject_label_noise)
-from icut.datagen import DEFAULT_DIM, DEFAULT_RANGE, haar_rotation
-from conftest import random_dataset
+from icut import (LabeledDataset, NoiseSpec, SyntheticSpec, generate_synthetic,
+                  generating_function, inject_label_noise)
+from icut.datagen import DEFAULT_DIM, DEFAULT_RANGE
+from conftest import apply_group_action, haar_rotation, random_dataset
 
 
 # --- spec construction -------------------------------------------------------
@@ -147,7 +147,7 @@ def test_labels_invariant_under_sampled_group_actions():
         assert np.array_equal(labels, train.true_labels[rows])
 
 
-# --- group actions -----------------------------------------------------------
+# --- group actions (the conftest oracles) -------------------------------------
 
 
 def test_haar_rotation_is_special_orthogonal():

@@ -3,7 +3,9 @@
 A refactor that claims equal behaviour must leave these bytes unchanged.
 The digests hold for the float arithmetic of one numpy/BLAS build; if a
 toolchain change moves them, regenerate them from a commit known to be
-correct, never from the change under test.
+correct, never from the change under test.  A change that alters a report
+on purpose re-pins only that pair, checks its new values against an
+in-test oracle, and records the before/after report diff in CHANGES.md.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import pytest
 
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, SyntheticSpec,
                   run_ablation, run_experiment)
+from icut.io import read_csv
 
 SPEC = SyntheticSpec(group="orthogonal", d=6, n_train=400, n_test=100)
 
@@ -74,8 +77,8 @@ ABLATIONS = {
         "d09153865465eaec64477ae651f333a14fd598e593a66cf343416e3ba22668c3",
         "18aef41396564696515ca6ac1c0a815cbcfad127c62d1b9047fed4936cf61bad")),
     "invariance_error": ("invariance_error", (0.0, 0.2), {}, (
-        "f00590da27d21648de52eb04eb949068b3824fb6e243cec8ca30e8879084f680",
-        "efd7cabf6501991644d2ca8581c700b13a81c19f2e01cc1b929e6ec4894d0ed6")),
+        "154896620580defc8dbade4ac79474968649c84c3ac1647bcc661284b482fad5",
+        "862f2da9db335c5aac12953ffc14a2ae4f4b9cf5f0400741994fde93ed40a466")),
 }
 
 
@@ -83,3 +86,13 @@ ABLATIONS = {
 def test_ablation_report_bytes_are_pinned(tmp_path, name):
     kind, grid, overrides, expected = ABLATIONS[name]
     assert _digests(run_ablation(kind, _config(tmp_path, **overrides), grid)) == expected
+
+
+def test_invariance_error_report_realizes_its_targets(tmp_path):
+    # The closed-form calibration hits each target up to rounding, so the
+    # seed-mean realized column of the pinned report equals the grid.
+    kind, grid, overrides, _ = ABLATIONS["invariance_error"]
+    result = run_ablation(kind, _config(tmp_path, **overrides), grid)
+    header, rows = read_csv(result["csv_path"])
+    realized = [float(row[header.index("realized")]) for row in rows]
+    assert realized == pytest.approx(grid, rel=1e-12, abs=0.0)

@@ -7,8 +7,7 @@ import pytest
 
 from icut import (LabeledDataset, build_neighbor_table, compute_representation,
                   estimate_class_accuracies, herding_select, knn_predict, kernels)
-from icut.datagen import haar_rotation
-from conftest import oracle_neighbors, random_dataset
+from conftest import haar_rotation, oracle_neighbors, random_dataset
 
 
 def _rep(features, ids=None, kind="identity"):

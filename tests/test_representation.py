@@ -1,15 +1,15 @@
 """Representation maps, external embeddings, and the calibrated perturbation."""
 
-import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from icut import (LabeledDataset, RepresentedDataset, apply_group_action,
-                  compute_representation, load_external_representation,
-                  perturb_representation)
+from icut import (LabeledDataset, RepresentedDataset, compute_representation,
+                  load_external_representation, perturb_representation)
 from icut.io import write_embedding_csv
-from conftest import random_dataset
+from icut.representation import CALIBRATION_MISSED
+from conftest import apply_group_action, oracle_perturbation, random_dataset
 
 
 # --- built-in maps -----------------------------------------------------------
@@ -168,16 +168,32 @@ def test_perturb_rejects_negative_target():
         perturb_representation(_l2_rep(), -0.1)
 
 
-@pytest.mark.parametrize("group, realized_error, digest", [
-    ("orthogonal", 0.19756729516038257,
-     "017d2b437e86c63731781587131279d0d18390a856cb255d02c0bb4358d470da"),
-    ("permutation", 0.19477705769303771,
-     "017d2b437e86c63731781587131279d0d18390a856cb255d02c0bb4358d470da"),
-])
-def test_perturb_stream_is_pinned(group, realized_error, digest):
-    # Values from the calibration that rotated or permuted each sampled x.
-    # sigma is a bisection point, so the representation alone would not see
-    # a change in the draws before the unit noise; the realized error does.
-    out, realized = perturb_representation(_l2_rep(), 0.2, group=group, seed=4)
-    assert hashlib.sha256(out.representations.tobytes()).hexdigest() == digest
-    assert realized == pytest.approx(realized_error, rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+def test_perturb_rejects_nonfinite_target(target):
+    with pytest.raises(ValueError, match="non-negative"):
+        perturb_representation(_l2_rep(), target)
+
+
+def test_perturb_matches_the_closed_form_oracle():
+    rep = _l2_rep()
+    out, realized = perturb_representation(rep, 0.2, seed=4)
+    want, want_realized = oracle_perturbation(rep.representations[:, 0].tolist(), 0.2, seed=4)
+    assert out.representations[:, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert realized == pytest.approx(want_realized, rel=1e-12, abs=0.0)
+    assert realized == pytest.approx(0.2, rel=1e-12, abs=0.0)
+
+
+def test_perturb_noise_lost_to_rounding_is_a_named_error():
+    # At norms near 1e17 one ulp is 16, so noise of scale 0.1 rounds away.
+    ds = random_dataset(50, 4)
+    big = LabeledDataset(features=ds.features * 1e17, noisy_labels=ds.noisy_labels,
+                         num_classes=2, ids=ds.ids, true_labels=ds.true_labels)
+    with pytest.raises(ValueError, match=re.escape(CALIBRATION_MISSED)):
+        perturb_representation(compute_representation(big, "l2norm"), 0.1)
+    out, _ = perturb_representation(compute_representation(ds, "l2norm"), 0.1)
+    assert np.all(out.representations != compute_representation(ds, "l2norm").representations)
+
+
+def test_perturb_overflowing_noise_is_a_named_error():
+    with pytest.raises(ValueError, match=re.escape(CALIBRATION_MISSED)):
+        perturb_representation(_l2_rep(), 1e308)
