@@ -68,17 +68,23 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
     truth = np.empty(n, dtype=np.int64)
     known = np.ones(n, dtype=bool)
     feats = np.empty((n, d), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != d + 3:
-            raise ValueError(f"malformed dataset row {i + 1}")
-        ids[i] = int(parts[0])
-        if parts[1] == "":
-            known[i] = False
-        else:
-            truth[i] = int(parts[1])
-        yhat[i] = int(parts[2])
-        feats[i] = [float(v) for v in parts[3:]]
+    # A wrong field count, a field that is not a number (an integer for id,
+    # y and yhat) or an integer past int64 names its row; one handler around
+    # the loop, not one per row, keeps the row cost down.
+    try:
+        for i, line in enumerate(lines[1:]):
+            parts = line.split(",")
+            if len(parts) != d + 3:
+                raise ValueError
+            ids[i] = int(parts[0])
+            if parts[1] == "":
+                known[i] = False
+            else:
+                truth[i] = int(parts[1])
+            yhat[i] = int(parts[2])
+            feats[i] = [float(v) for v in parts[3:]]
+    except (ValueError, OverflowError):
+        raise ValueError(f"malformed dataset row {i + 1}") from None
     have_truth = bool(known.all())
     if known.any() and not have_truth:
         raise ValueError(f"dataset row {int(np.argmin(known)) + 1} has no true label, "
@@ -112,12 +118,15 @@ def read_embedding_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     n = len(lines) - 1
     ids = np.empty(n, dtype=np.int64)
     mat = np.empty((n, m), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != m + 1:
-            raise ValueError(f"malformed embedding row {i + 1}")
-        ids[i] = int(parts[0])
-        mat[i] = [float(v) for v in parts[1:]]
+    try:  # as in read_dataset_csv
+        for i, line in enumerate(lines[1:]):
+            parts = line.split(",")
+            if len(parts) != m + 1:
+                raise ValueError
+            ids[i] = int(parts[0])
+            mat[i] = [float(v) for v in parts[1:]]
+    except (ValueError, OverflowError):
+        raise ValueError(f"malformed embedding row {i + 1}") from None
     return ids, mat
 
 

@@ -6,28 +6,36 @@ l2norm representation) is sorted once by (value, rank); each row takes
 the 2k rows around it in that order as candidates, widened across any
 run of rows tied at the k-th distance past a window edge: about
 O(n log n + n k log k) work.  Wider inputs find candidates with the gram
-trick on column-centered rows: O(n^2 m) work in blocks of rows that
-reuse two fixed rows x n buffers and a rows x n candidate mask.  Each
-block is rescored by whole-block numpy calls, not a loop over its rows,
-in chunks of rows sized from their candidate counts, so a tie-heavy
-block (every entry a candidate) keeps to the same budget.  Beyond the
-input and the table the path needs about 25 MB, not memory that grows
-with n^2.  Both paths rank their candidates by exact squared distances
-computed from the input rows and break ties by ascending rank, so both
-return the same (distance, ascending-rank) table, exact under any
-translation or scale of the features that keeps squared distances
-finite in float64.  Larger inputs (entries from about 1e153 up) and
-non-finite ones raise ``ValueError``.  Herding scans every candidate once
-per pick, under the same limit on its scores.
+trick on column-centered rows, scaled by a power of two: O(n^2 m) work
+in blocks of rows that reuse two fixed rows x n buffers and a rows x n
+candidate mask (17 MB; float32 blocks use the first half of each
+buffer).  Candidates are marked in float32, within a margin derived in
+``_gram_scan`` that holds every true neighbor.  A block that marks more
+than 2k candidates per row (tightly clustered rows) is marked again in
+float64, as is every later block, so at most one float32 block per input
+is wasted.  Each block is rescored exactly in float64 by whole-block
+numpy calls, not a loop over its rows, in chunks of rows sized from their
+candidate counts, so a tie-heavy block (every entry a candidate) keeps to
+the same budget.  Beyond the input and the table the path needs about
+25 MB, not memory that grows with n^2.  Both paths rank their
+candidates by exact squared distances computed from the input rows and
+break ties by ascending rank, so both return the same (distance,
+ascending-rank) table, exact under any translation or scale of the
+features that keeps squared distances finite in float64.  Larger inputs
+(entries from about 1e153 up) and non-finite ones raise ``ValueError``.
+Herding scans every candidate once per pick, under the same limit on its
+scores.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Elements in each of the gram path's two block buffers (8 MB each).  On
-# 2 cores, k-NN at n = 5000 and 20000 (m = 32) ran as fast at 2^20 as at
-# 2^21 or 2^22, and about 5% slower at 2^19.
+# Elements in each of the gram path's two float64 block buffers (8 MB
+# each; float32 blocks take the first half).  On 2 cores, k-NN at n = 5000
+# and 20000 (m = 32) ran as fast at 2^20 as at 2^21 or 2^22, and about 5%
+# slower at 2^19, with float64 blocks; with float32 ones, 2^19, 2^20 and
+# 2^21 were within noise of one another.
 BLOCK_ELEMENTS = 2**20
 
 # Candidate slots rescored at once, counted as chunk rows x the chunk's
@@ -72,40 +80,98 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     d2 = np.empty((n, k), dtype=np.float64)
     # Distances do not change under translation, but the gram trick's
     # rounding error grows with the squared norms, so candidates come from
-    # centered rows.  Row i ranks row j by e_ij = |c_j|^2 - 2 c_i.c_j, the
-    # squared distance less |c_i|^2, a row constant that changes no ranking.
-    # Scaling by -2 is exact, so e_ij is one dot product of m terms plus one
-    # addition, off by at most about (m + 2) eps (|c_i|^2 + |c_j|^2) <= t_i,
-    # with t_i = (m + 2) eps (|c_i|^2 + max |c|^2).  The row's computed k-th
-    # smallest e is at most t_i below its exact value and a true member's e
-    # at most t_i above its own, so every true member lies within 2 t_i of
-    # the computed k-th: under half the margin of 8 t_i below.
-    C = X - X.mean(axis=0)
-    sq = np.einsum("ij,ij->i", C, C)
-    margin = 8.0 * (m + 2) * np.finfo(np.float64).eps * (sq + sq.max())
-    M2T = -2.0 * C.T
-    # Three rows x n buffers, reused by every block: 17 MB in all while
-    # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.
+    # centered rows, scaled by 2^-s (exactly) so that their largest entry
+    # lies in [1/2, 1) and max |c|^2 in [1/4, m).  Row i ranks row j by
+    # e_ij = |c_j|^2 - 2 c_i.c_j, the squared distance less |c_i|^2, a row
+    # constant that changes no ranking.  Each block of e is one matmul of
+    # [c_i, 1] by [-2 c_j; |c_j|^2]: the -2 is exact, and no pass adds the
+    # norms afterwards.
+    #
+    # The candidates are marked in float32, of unit roundoff u = eps32 / 2.
+    # Casting c to float32 moves each entry by at most u times itself, and
+    # 2 c_i.c_j by at most 2 u (|c_i|^2 + |c_j|^2); rounding |c_j|^2 to
+    # float32 moves it by u |c_j|^2; and the (m + 1)-term product, summed in
+    # any order and stored in float32, is off by at most
+    # (m + 1) u (2 |c_i| |c_j| + |c_j|^2) <= (m + 1) u (|c_i|^2 + 2 |c_j|^2).
+    # In all e_ij is off by at most (m + 3) u (|c_i|^2 + 2 |c_j|^2), within
+    # t_i - eps32 (|c_i|^2 + max |c|^2) for t_i = (m + 4) eps32 (|c_i|^2 +
+    # max |c|^2).  The spare term covers the products of these errors while
+    # (m + 3)^2 u <= 1, and entries and products below float32's normal
+    # range, off by under 2^-126 each against max |c|^2 >= 1/4.  The row's
+    # computed k-th smallest e is then at most t_i below its exact value and
+    # a true member's e at most t_i above its own, so every true member lies
+    # within 2 t_i of the computed k-th: under half the margin of 8 t_i
+    # below.  The rest covers the second-order terms of any m below 10^7,
+    # float64 rounding in centering and rescoring, and rounding the cut,
+    # p + margin with |p| <= 2 (|c_i|^2 + max |c|^2), to float32.  Rescoring's
+    # subnormal sums are the exception: off by up to m 2^-1074 absolutely,
+    # m 2^(-1074 - 2s) in scaled units, they can rank members up to twice
+    # that further out, so the margin adds four times it (capped where it
+    # already passes every e).
+    #
+    # Tightly clustered rows can lie within that margin by the hundred.  A
+    # block that marks over 2k candidates per row is marked again in
+    # float64, and so is every later block.  There the same argument, with
+    # no cast and (m + 1)-term sums, gives t_i = (m + 2) eps64 (|c_i|^2 +
+    # max |c|^2) and the same margin of 8 t_i plus the subnormal term.
+    C = np.ones((n, m + 1))
+    np.subtract(X, X.mean(axis=0), out=C[:, :m])
+    s = int(np.frexp(max(C[:, :m].max(), -C[:, :m].min()))[1])
+    np.ldexp(C[:, :m], -s, out=C[:, :m])
+    sq = np.einsum("ij,ij->i", C[:, :m], C[:, :m])
+    subnormal = np.ldexp(float(m), min(-1072 - 2 * s, 64))
+
+    # Two float64 rows x n buffers for a block's e and its partitioned copy
+    # and a rows x n mask, reused by every block: 17 MB in all while
+    # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.  The
+    # float32 blocks are views of the buffers' first halves, so the same
+    # allocations serve both precisions.  Separate 4 MB float32 buffers
+    # saved no memory on average, and left the process's peak RSS varying
+    # by 10 MB from run to run with where glibc trimmed its heap.
     rows = max(1, min(n, BLOCK_ELEMENTS // n))
     E = np.empty((rows, n))
     P = np.empty((rows, n))
     M = np.empty((rows, n), dtype=bool)
+
+    def operands(dtype, steps):
+        """[c_i, 1], [-2 c_j; |c_j|^2], the margin and the block buffers in ``dtype``."""
+        left = C.astype(dtype, copy=False)
+        right = np.empty((m + 1, n), dtype=dtype)
+        np.multiply(left[:, :m].T, -2, out=right[:m])
+        right[m] = sq
+        margin = 8.0 * (m + steps) * np.finfo(dtype).eps * (sq + sq.max()) + subnormal
+        e, p = (B.reshape(-1).view(dtype)[:rows * n].reshape(rows, n) for B in (E, P))
+        return left, right, margin.astype(dtype), e, p
+
+    ops = operands(np.float32, 4)
     for b0 in range(0, n, rows):
         b1 = min(b0 + rows, n)
-        e, p, mask = E[:b1 - b0], P[:b1 - b0], M[:b1 - b0]
-        np.matmul(C[b0:b1], M2T, out=e)
-        e += sq
-        e[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
-        np.copyto(p, e)
-        p.partition(k - 1, axis=1)
-        cuts = p[:, k - 1] + margin[b0:b1]
-        np.less_equal(e, cuts[:, None], out=mask)
-        counts = np.count_nonzero(mask, axis=1)
+        mask = M[:b1 - b0]
+        counts = _mark(*ops, b0, k, mask)
+        if ops[0].dtype == np.float32 and counts.sum() > 2 * k * (b1 - b0):
+            ops = operands(np.float64, 2)
+            counts = _mark(*ops, b0, k, mask)
         step = max(1, RESCORE_ELEMENTS // ((m + 2) * int(counts.max())))
         for r0 in range(0, b1 - b0, step):
             r1 = min(r0 + step, b1 - b0)
             _rescore(X, rank, mask[r0:r1], counts[r0:r1], b0 + r0, pos, d2)
     return pos, d2
+
+
+def _mark(left, right, margin, E, P, b0, k, mask):
+    """Mark the candidates of rows b0, b0 + 1, ... in ``mask``; return their counts.
+
+    The block's e and its partitioned copy are the first rows of E and P.
+    """
+    rows = mask.shape[0]
+    e, p = E[:rows], P[:rows]
+    np.matmul(left[b0:b0 + rows], right, out=e)
+    e[np.arange(rows), np.arange(b0, b0 + rows)] = np.inf
+    np.copyto(p, e)
+    p.partition(k - 1, axis=1)
+    cuts = p[:, k - 1] + margin[b0:b0 + rows]
+    np.less_equal(e, cuts[:, None], out=mask)
+    return np.count_nonzero(mask, axis=1)
 
 
 def _rescore(X, rank, mask, counts, i0, pos, d2):

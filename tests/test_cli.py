@@ -275,17 +275,43 @@ def test_exp_missing_train_file_is_a_stage_error(capsys, tmp_path):
     assert err.startswith("error: [load]")
 
 
+def _with_field(src, dst, row, field, value):
+    """Copy CSV ``src`` to ``dst`` with one field of data row ``row`` replaced."""
+    lines = src.read_text().splitlines()
+    parts = lines[row].split(",")
+    parts[field] = value
+    lines[row] = ",".join(parts)
+    dst.write_text("\n".join(lines) + "\n")
+    return str(dst)
+
+
 def test_exp_nonfinite_train_file_is_a_load_error(capsys, workdir, tmp_path):
-    lines = (workdir / "noisy.csv").read_text().splitlines()
-    parts = lines[1].split(",")
-    parts[3] = "nan"
-    lines[1] = ",".join(parts)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "exp", "--train", str(bad), "--epochs", "2",
+    bad = _with_field(workdir / "noisy.csv", tmp_path / "bad.csv", 1, 3, "nan")
+    code, _, err = run_cli(capsys, "exp", "--train", bad, "--epochs", "2",
                            "--seed-list", "0", "--no-train", "--out-dir", str(tmp_path))
     assert code == 1
     assert err.startswith("error: [load] non-finite")
+
+
+@pytest.mark.parametrize("field,value", [(3, "abc"), (0, "1.5")], ids=["feature", "id"])
+def test_select_non_numeric_dataset_field_is_a_load_error_naming_its_row(
+        capsys, workdir, tmp_path, field, value):
+    bad = _with_field(workdir / "noisy.csv", tmp_path / "bad.csv", 3, field, value)
+    code, _, err = run_cli(capsys, "select", "--in", bad)
+    assert code == 1
+    assert err == "error: [load] malformed dataset row 3\n"
+
+
+def test_select_non_numeric_embedding_value_is_a_represent_error_naming_its_row(
+        capsys, workdir, tmp_path):
+    ds = read_dataset_csv(workdir / "noisy.csv")
+    good = tmp_path / "emb.csv"
+    write_embedding_csv(ds.ids, ds.features, good)
+    bad = _with_field(good, tmp_path / "bad.csv", 2, 1, "x")
+    code, _, err = run_cli(capsys, "select", "--in", str(workdir / "noisy.csv"),
+                           "--kind", "external", "--embedding", bad)
+    assert code == 1
+    assert err == "error: [represent] malformed embedding row 2\n"
 
 
 @pytest.mark.parametrize("args, stage, message", [

@@ -105,6 +105,29 @@ def test_embedding_rejects_ragged_row(tmp_path):
         read_embedding_csv(path)
 
 
+# The bad row is each file's second: one of its fields is not a number, not
+# an integer where the format needs one, or an integer past int64.
+@pytest.mark.parametrize("field,value", [(3, "abc"), (0, "1.5"), (0, "99999999999999999999"),
+                                         (1, "1.5"), (2, "x")],
+                         ids=["feature", "id", "id-past-int64", "y", "yhat"])
+def test_dataset_names_the_row_of_a_field_that_is_not_a_number(tmp_path, field, value):
+    row = ["1", "0", "1", "0.5", "1.0"]
+    row[field] = value
+    path = tmp_path / "a.csv"
+    path.write_text("id,y,yhat,f0,f1\n0,0,0,0.5,1.0\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match="^malformed dataset row 2$"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("row", ["1,x,0.5", "1.5,0.5,0.5", "99999999999999999999,0.5,0.5"],
+                         ids=["value", "id", "id-past-int64"])
+def test_embedding_names_the_row_of_a_field_that_is_not_a_number(tmp_path, row):
+    path = tmp_path / "a.csv"
+    path.write_text("id,r0,r1\n0,0.5,0.5\n" + row + "\n")
+    with pytest.raises(ValueError, match="^malformed embedding row 2$"):
+        read_embedding_csv(path)
+
+
 def test_selection_round_trip(tmp_path):
     sel = SelectionResult(scores=np.array([0.25, -1.5, 3.0]), selected=np.array([1]))
     ids = np.array([4, 5, 6])

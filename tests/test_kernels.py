@@ -109,7 +109,8 @@ def _assert_small_and_exact(X, rank, k, rng):
 
 def test_gram_path_memory_does_not_grow_with_n_squared():
     # One 4000 x 4000 block of distances alone is 128 MB; the reused block
-    # buffers hold 2 x 8 MB and the candidate mask 1 MB.
+    # buffers hold 2 x 8 MB (float32 blocks use the first half of each) and
+    # the candidate mask 1 MB.
     rng = np.random.default_rng(9)
     n = 4000
     X = rng.normal(size=(n, 32))
@@ -119,7 +120,8 @@ def test_gram_path_memory_does_not_grow_with_n_squared():
 @pytest.mark.parametrize("kind", ["identical", "underflow"])
 def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
     # Every entry of every block is a candidate: identical rows, or rows whose
-    # gram products underflow to 0.  Rescoring in chunks keeps the memory bound.
+    # rescored squared distances underflow to 0 (each block goes to float64
+    # after the first).  Rescoring in chunks keeps the memory bound.
     rng = np.random.default_rng(10)
     n = 4000
     if kind == "identical":
@@ -127,6 +129,62 @@ def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
     else:
         X = rng.normal(size=(n, 32)) * 1e-170
     _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
+
+
+@pytest.mark.parametrize("clustered", [False, True], ids=["spread", "clustered"])
+def test_clustered_blocks_fall_back_to_float64(clustered, monkeypatch):
+    # float32's margin spans a whole tight cluster, about n / 5 candidates a
+    # row: the first block is marked again in float64, and so is every later
+    # one.  Spread rows keep every block in float32.
+    rng = np.random.default_rng(11)
+    n, k = 2000, 20
+    X = rng.normal(size=(n, 32))
+    if clustered:   # 5 centres, spread 1e-3
+        X = rng.normal(size=(5, 32))[rng.integers(0, 5, size=n)] + 1e-3 * X
+    rank = rng.permutation(n).astype(np.int64)
+    dtypes, slots = [], []
+    mark, rescore = kernels._mark, kernels._rescore
+
+    def marked(left, *rest):
+        dtypes.append(left.dtype)
+        return mark(left, *rest)
+
+    def counted(X, rank, mask, counts, *rest):
+        slots.append(int(counts.sum()))
+        rescore(X, rank, mask, counts, *rest)
+
+    monkeypatch.setattr(kernels, "_mark", marked)
+    monkeypatch.setattr(kernels, "_rescore", counted)
+    pos, d2 = kernels.neighbor_table(X, rank, k)
+    rows, dists = _full_sort(X, rank, k, range(n))
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(d2, dists)
+    blocks = -(-n // (kernels.BLOCK_ELEMENTS // n))
+    if clustered:
+        assert dtypes == [np.float32] + [np.float64] * blocks
+    else:
+        assert dtypes == [np.float32] * blocks
+    assert sum(slots) < 2 * k * n          # near k a row, not n / 5 = 400
+
+
+# float32 candidates after the power-of-two scale: one column 1e30 times the
+# others (whose float32 products flush to zero), rows just under the overflow
+# bound, and all rows alike with every other row a neighbor
+@pytest.mark.parametrize("kind", ["mixed-columns", "huge", "identical"])
+def test_gram_path_is_exact_at_extreme_scales(kind):
+    X, rank = _case(400, 20, seed=12)
+    k = 10
+    if kind == "mixed-columns":
+        X[:, 0] *= 1e30
+    elif kind == "huge":
+        X *= 1e150
+    else:
+        X = np.tile(X[0], (400, 1))
+        k = 399
+    pos, d2 = kernels.neighbor_table(X, rank, k)
+    rows, dists = oracle_neighbors(X, rank, k)
+    assert np.array_equal(pos, rows)
+    assert np.allclose(np.sqrt(d2), dists, rtol=1e-12, atol=0.0)
 
 
 SHIFTS = [(offset, scale) for offset in (0.0, 1e5, 1e7) for scale in (1e-3, 1.0, 1e3)]
