@@ -147,15 +147,16 @@ def read_selection_csv(path) -> Tuple[np.ndarray, np.ndarray]:
     lines = read_lines(path)
     if not lines or lines[0] != "id,score":
         raise ValueError("not a selection CSV")
-    ids, scores = [], []
-    for row, line in enumerate(lines[1:], 1):
-        try:
-            i, s = line.split(",")
-            ids.append(int(i))
-            scores.append(float(s))
-        except ValueError:
-            raise ValueError(f"malformed selection row {row}") from None
-    return np.asarray(ids, dtype=np.int64), np.asarray(scores, dtype=np.float64)
+    ids = np.empty(len(lines) - 1, dtype=np.int64)
+    scores = np.empty(len(lines) - 1, dtype=np.float64)
+    try:  # as in read_dataset_csv
+        for i, line in enumerate(lines[1:]):
+            a, s = line.split(",")
+            ids[i] = int(a)
+            scores[i] = float(s)
+    except (ValueError, OverflowError):
+        raise ValueError(f"malformed selection row {i + 1}") from None
+    return ids, scores
 
 
 def write_subset(ids: np.ndarray, path) -> None:
@@ -163,13 +164,14 @@ def write_subset(ids: np.ndarray, path) -> None:
 
 
 def read_subset(path) -> np.ndarray:
-    ids = []
-    for row, line in enumerate(read_lines(path), 1):
-        try:
-            ids.append(int(line))
-        except ValueError:
-            raise ValueError(f"malformed subset line {row}") from None
-    return np.asarray(ids, dtype=np.int64)
+    lines = read_lines(path)
+    ids = np.empty(len(lines), dtype=np.int64)
+    try:  # as in read_dataset_csv
+        for i, line in enumerate(lines):
+            ids[i] = int(line)
+    except (ValueError, OverflowError):
+        raise ValueError(f"malformed subset line {i + 1}") from None
+    return ids
 
 
 # --- feasibility-window CSV and generic report helpers ----------------------

@@ -9,14 +9,18 @@ O(n log n + n k log k) work.  Wider inputs find candidates with the gram
 trick on column-centered rows, scaled by a power of two: O(n^2 m) work
 in blocks of rows that reuse two fixed rows x n buffers and a rows x n
 candidate mask (17 MB; float32 blocks use the first half of each
-buffer).  Candidates are marked in float32, within a margin derived in
-``_gram_scan`` that holds every true neighbor.  A block that marks more
-than 2k candidates per row (tightly clustered rows) is marked again in
-float64, as is every later block, so at most one float32 block per input
-is wasted.  Each block is rescored exactly in float64 by whole-block
-numpy calls, not a loop over its rows, in chunks of rows sized from their
-candidate counts, so a tie-heavy block (every entry a candidate) keeps to
-the same budget.  Beyond the input and the table the path needs about
+buffer).  Each block of squared distances is one matmul, marked in
+float32 within a margin derived in ``_gram_scan`` that holds every true
+neighbor; its k-th smallest per row comes from a partition of the
+block's integer view, whose order is the value order for non-negative
+floats.  A block that marks more than 2k candidates per row (tightly
+clustered rows) is marked again in float64, as is every later block, so
+at most one float32 block per input is wasted.  One nonzero pass per
+block finds its candidates (one per slab of rows in a tie-heavy block,
+every entry a candidate), and they are rescored exactly in float64 by
+whole-block numpy calls, not a loop over its rows, in chunks of rows
+sized from their candidate counts, so a tie-heavy block keeps to the
+same budget.  Beyond the input and the table the path needs about
 25 MB, not memory that grows with n^2.  Both paths rank their
 candidates by exact squared distances computed from the input rows and
 break ties by ascending rank, so both return the same (distance,
@@ -81,47 +85,52 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     # Distances do not change under translation, but the gram trick's
     # rounding error grows with the squared norms, so candidates come from
     # centered rows, scaled by 2^-s (exactly) so that their largest entry
-    # lies in [1/2, 1) and max |c|^2 in [1/4, m).  Row i ranks row j by
-    # e_ij = |c_j|^2 - 2 c_i.c_j, the squared distance less |c_i|^2, a row
-    # constant that changes no ranking.  Each block of e is one matmul of
-    # [c_i, 1] by [-2 c_j; |c_j|^2]: the -2 is exact, and no pass adds the
-    # norms afterwards.
+    # lies in [1/2, 1) and max |c|^2 in [1/4, m).  Each block of squared
+    # distances d_ij = |c_i|^2 + |c_j|^2 - 2 c_i.c_j is one matmul of
+    # [c_i, |c_i|^2, 1] by [-2 c_j; 1; |c_j|^2]: the -2 is exact, and no pass
+    # adds the norms afterwards.  The computed d_ij are non-negative up to
+    # rounding, so _mark partitions them through their integer view.
     #
     # The candidates are marked in float32, of unit roundoff u = eps32 / 2.
     # Casting c to float32 moves each entry by at most u times itself, and
-    # 2 c_i.c_j by at most 2 u (|c_i|^2 + |c_j|^2); rounding |c_j|^2 to
-    # float32 moves it by u |c_j|^2; and the (m + 1)-term product, summed in
-    # any order and stored in float32, is off by at most
-    # (m + 1) u (2 |c_i| |c_j| + |c_j|^2) <= (m + 1) u (|c_i|^2 + 2 |c_j|^2).
-    # In all e_ij is off by at most (m + 3) u (|c_i|^2 + 2 |c_j|^2), within
-    # t_i - eps32 (|c_i|^2 + max |c|^2) for t_i = (m + 4) eps32 (|c_i|^2 +
-    # max |c|^2).  The spare term covers the products of these errors while
-    # (m + 3)^2 u <= 1, and entries and products below float32's normal
-    # range, off by under 2^-126 each against max |c|^2 >= 1/4.  The row's
-    # computed k-th smallest e is then at most t_i below its exact value and
-    # a true member's e at most t_i above its own, so every true member lies
-    # within 2 t_i of the computed k-th: under half the margin of 8 t_i
-    # below.  The rest covers the second-order terms of any m below 10^7,
-    # float64 rounding in centering and rescoring, and rounding the cut,
-    # p + margin with |p| <= 2 (|c_i|^2 + max |c|^2), to float32.  Rescoring's
-    # subnormal sums are the exception: off by up to m 2^-1074 absolutely,
-    # m 2^(-1074 - 2s) in scaled units, they can rank members up to twice
-    # that further out, so the margin adds four times it (capped where it
-    # already passes every e).
+    # 2 c_i.c_j by at most 2 u (|c_i|^2 + |c_j|^2); rounding |c_i|^2 and
+    # |c_j|^2 to float32 moves them by u |c_i|^2 and u |c_j|^2; and the
+    # (m + 2)-term product, summed in any order and stored in float32, is off
+    # by at most (m + 2) u (2 |c_i| |c_j| + |c_i|^2 + |c_j|^2) <=
+    # 2 (m + 2) u (|c_i|^2 + |c_j|^2).  In all d_ij is off by at most
+    # (2 m + 7) u (|c_i|^2 + |c_j|^2), within t_i - 3 u (|c_i|^2 + max |c|^2)
+    # for t_i = (m + 5) eps32 (|c_i|^2 + max |c|^2).  The spare term covers
+    # the products of these errors while (m + 4)^2 u <= 1, and entries and
+    # products below float32's normal range, off by under 2^-126 each against
+    # max |c|^2 >= 1/4.  The row's computed k-th smallest d is then at most
+    # t_i below its exact value and a true member's d at most t_i above its
+    # own, so every true member lies within 2 t_i of the computed k-th.  The
+    # integer view orders the row's negative values (all within t_i of 0,
+    # -0.0 among them) first, in reverse; so a row holding k or more of them
+    # cuts at one of them, not at its float k-th.  Both lie in [-t_i, 0], so
+    # every true member lies within 3 t_i of the cut's base: under half the
+    # margin of 8 t_i below.  The rest covers the second-order terms of any m
+    # below 10^7, float64 rounding in centering and rescoring, and rounding
+    # the cut, p + margin with |p| <= 2 (|c_i|^2 + max |c|^2), to float32.
+    # Rescoring's subnormal sums are the exception: off by up to m 2^-1074
+    # absolutely, m 2^(-1074 - 2s) in scaled units, they can rank members up
+    # to twice that further out, so the margin adds four times it (capped
+    # where it already passes every d).
     #
     # Tightly clustered rows can lie within that margin by the hundred.  A
     # block that marks over 2k candidates per row is marked again in
     # float64, and so is every later block.  There the same argument, with
-    # no cast and (m + 1)-term sums, gives t_i = (m + 2) eps64 (|c_i|^2 +
+    # no cast and the same spare term, gives t_i = (m + 3) eps64 (|c_i|^2 +
     # max |c|^2) and the same margin of 8 t_i plus the subnormal term.
-    C = np.ones((n, m + 1))
+    C = np.ones((n, m + 2))
     np.subtract(X, X.mean(axis=0), out=C[:, :m])
     s = int(np.frexp(max(C[:, :m].max(), -C[:, :m].min()))[1])
     np.ldexp(C[:, :m], -s, out=C[:, :m])
     sq = np.einsum("ij,ij->i", C[:, :m], C[:, :m])
+    C[:, m] = sq
     subnormal = np.ldexp(float(m), min(-1072 - 2 * s, 64))
 
-    # Two float64 rows x n buffers for a block's e and its partitioned copy
+    # Two float64 rows x n buffers for a block's d and its partitioned copy
     # and a rows x n mask, reused by every block: 17 MB in all while
     # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.  The
     # float32 blocks are views of the buffers' first halves, so the same
@@ -133,59 +142,81 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     P = np.empty((rows, n))
     M = np.empty((rows, n), dtype=bool)
 
-    def operands(dtype, steps):
-        """[c_i, 1], [-2 c_j; |c_j|^2], the margin and the block buffers in ``dtype``."""
+    def marker(dtype, steps):
+        """A function marking the candidates of rows [b0, b1) in ``dtype``."""
         left = C.astype(dtype, copy=False)
-        right = np.empty((m + 1, n), dtype=dtype)
+        right = np.ones((m + 2, n), dtype=dtype)
         np.multiply(left[:, :m].T, -2, out=right[:m])
-        right[m] = sq
+        right[m + 1] = sq
         margin = 8.0 * (m + steps) * np.finfo(dtype).eps * (sq + sq.max()) + subnormal
+        margin = margin.astype(dtype)
         e, p = (B.reshape(-1).view(dtype)[:rows * n].reshape(rows, n) for B in (E, P))
-        return left, right, margin.astype(dtype), e, p
 
-    ops = operands(np.float32, 4)
+        def mark(b0, b1, mask):
+            d = e[:b1 - b0]
+            np.matmul(left[b0:b1], right, out=d)
+            d[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
+            return _mark(d, p[:b1 - b0], margin[b0:b1], k, mask)
+        return mark
+
+    # One nonzero pass finds a block's candidates, or, when they number over
+    # RESCORE_ELEMENTS / 4 (a tie-heavy block), one pass per slab of rows
+    # holding at most that many mask entries, so that a pass's flat, row and
+    # column indices take at most 3 MB.
+    slab = max(1, RESCORE_ELEMENTS // (4 * n))
+    mark, in_float64 = marker(np.float32, 5), False
     for b0 in range(0, n, rows):
         b1 = min(b0 + rows, n)
         mask = M[:b1 - b0]
-        counts = _mark(*ops, b0, k, mask)
-        if ops[0].dtype == np.float32 and counts.sum() > 2 * k * (b1 - b0):
-            ops = operands(np.float64, 2)
-            counts = _mark(*ops, b0, k, mask)
-        step = max(1, RESCORE_ELEMENTS // ((m + 2) * int(counts.max())))
-        for r0 in range(0, b1 - b0, step):
-            r1 = min(r0 + step, b1 - b0)
-            _rescore(X, rank, mask[r0:r1], counts[r0:r1], b0 + r0, pos, d2)
+        total = mark(b0, b1, mask)
+        if not in_float64 and total > 2 * k * (b1 - b0):
+            mark, in_float64 = marker(np.float64, 3), True
+            total = mark(b0, b1, mask)
+        width = b1 - b0 if total <= RESCORE_ELEMENTS // 4 else slab
+        for s0 in range(b0, b1, width):
+            s1 = min(s0 + width, b1)
+            r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), n)
+            counts = np.bincount(r, minlength=s1 - s0)
+            r += s0
+            edges = np.concatenate(([0], np.cumsum(counts)))
+            step = max(1, RESCORE_ELEMENTS // ((m + 2) * int(counts.max())))
+            for r0 in range(0, s1 - s0, step):
+                r1 = min(r0 + step, s1 - s0)
+                lo, hi = edges[r0], edges[r1]
+                _rescore(X, rank, r[lo:hi], c[lo:hi], counts[r0:r1], pos, d2)
     return pos, d2
 
 
-def _mark(left, right, margin, E, P, b0, k, mask):
-    """Mark the candidates of rows b0, b0 + 1, ... in ``mask``; return their counts.
+def _mark(d, p, margin, k, mask):
+    """Mark each row's candidates in block ``d`` in ``mask``; return how many.
 
-    The block's e and its partitioned copy are the first rows of E and P.
+    ``d`` holds the rows' rounded squared distances (+inf at their own
+    entries) and ``p`` receives its partitioned copy.  The copy is
+    partitioned through its integer view, whose order is the value order for
+    non-negative floats (+inf last), at about half the cost of a float
+    partition; rounded negative values, -0.0 among them, sort first and in
+    reverse (see _gram_scan).
     """
-    rows = mask.shape[0]
-    e, p = E[:rows], P[:rows]
-    np.matmul(left[b0:b0 + rows], right, out=e)
-    e[np.arange(rows), np.arange(b0, b0 + rows)] = np.inf
-    np.copyto(p, e)
-    p.partition(k - 1, axis=1)
-    cuts = p[:, k - 1] + margin[b0:b0 + rows]
-    np.less_equal(e, cuts[:, None], out=mask)
-    return np.count_nonzero(mask, axis=1)
+    np.copyto(p, d)
+    p.view(f"i{p.itemsize}").partition(k - 1, axis=1)
+    cuts = p[:, k - 1] + margin
+    np.less_equal(d, cuts[:, None], out=mask)
+    return np.count_nonzero(mask)
 
 
-def _rescore(X, rank, mask, counts, i0, pos, d2):
-    """Rows i0, i0 + 1, ... of the table from their candidate masks, in one pass.
+def _rescore(X, rank, r, c, counts, pos, d2):
+    """Rows r[0], r[0] + 1, ... of the table from their candidates, in one pass.
 
-    Exact squared distances of every candidate, laid out one row per table
-    row and padded with (inf, rank n), which sorts after every candidate;
-    each row holds at least k candidates, so the first k columns in
-    (distance, rank) order are the row's neighbors.
+    Candidate t is column c[t] of table row r[t], in row-major order, and
+    ``counts`` holds each row's number of them.  Exact squared distances of
+    every candidate, laid out one row per table row and padded with
+    (inf, rank n), which sorts after every candidate; each row holds at
+    least k candidates, so the first k columns in (distance, rank) order are
+    the row's neighbors.
     """
-    n, k = X.shape[0], pos.shape[1]
-    r, c = np.divmod(np.flatnonzero(mask), n)
+    n, k, i0 = X.shape[0], pos.shape[1], r[0]
     diff = X.take(c, axis=0)
-    diff -= X.take(i0 + r, axis=0)
+    diff -= X.take(r, axis=0)
     exact = np.einsum("ij,ij->i", diff, diff)
     filled = np.arange(counts.max()) < counts[:, None]
     dist = np.full(filled.shape, np.inf)

@@ -302,6 +302,16 @@ def test_select_non_numeric_dataset_field_is_a_load_error_naming_its_row(
     assert err == "error: [load] malformed dataset row 3\n"
 
 
+def test_train_subset_id_past_int64_is_a_load_error_naming_its_line(capsys, workdir, tmp_path):
+    subset = tmp_path / "subset.txt"
+    subset.write_text("0\n99999999999999999999\n")
+    code, _, err = run_cli(capsys, "train", "--in", str(workdir / "noisy.csv"),
+                           "--subset", str(subset), "--epochs", "1",
+                           "--out", str(tmp_path / "model.bin"))
+    assert code == 1
+    assert err == "error: [load] malformed subset line 2\n"
+
+
 def test_select_non_numeric_embedding_value_is_a_represent_error_naming_its_row(
         capsys, workdir, tmp_path):
     ds = read_dataset_csv(workdir / "noisy.csv")

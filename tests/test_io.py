@@ -158,11 +158,36 @@ def test_selection_rejects_malformed_row(tmp_path):
         read_selection_csv(path)
 
 
+@pytest.mark.parametrize("row", ["9223372036854775808,0.5", "-9223372036854775809,0.5"],
+                         ids=["above", "below"])
+def test_selection_names_the_row_of_an_id_past_int64(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text("id,score\n0,0.5\n" + row + "\n")
+    with pytest.raises(ValueError, match="^malformed selection row 2$"):
+        read_selection_csv(path)
+
+
 def test_subset_rejects_malformed_line(tmp_path):
     path = tmp_path / "subset.txt"
     path.write_text("9\n3\n1,2\n")
     with pytest.raises(ValueError, match="malformed subset line 3"):
         read_subset(path)
+
+
+@pytest.mark.parametrize("line", ["9223372036854775808", "-9223372036854775809"],
+                         ids=["above", "below"])
+def test_subset_names_the_line_of_an_id_past_int64(tmp_path, line):
+    path = tmp_path / "subset.txt"
+    path.write_text("9\n3\n" + line + "\n")
+    with pytest.raises(ValueError, match="^malformed subset line 3$"):
+        read_subset(path)
+
+
+def test_empty_subset_reads_as_no_ids(tmp_path):
+    path = tmp_path / "subset.txt"
+    path.write_text("")
+    ids = read_subset(path)
+    assert ids.dtype == np.int64 and ids.size == 0
 
 
 def test_subset_round_trip(tmp_path):

@@ -73,9 +73,9 @@ def test_gram_path_across_several_blocks_matches_full_sort(kind, k, budget, monk
         monkeypatch.setattr(kernels, "RESCORE_ELEMENTS", budget)
         rescore = kernels._rescore
 
-        def counted(X, rank, mask, counts, *rest):
+        def counted(X, rank, r, c, counts, *rest):
             chunks.append(counts.size)
-            rescore(X, rank, mask, counts, *rest)
+            rescore(X, rank, r, c, counts, *rest)
 
         monkeypatch.setattr(kernels, "_rescore", counted)
     rng = np.random.default_rng(len(kind) + k)
@@ -145,13 +145,13 @@ def test_clustered_blocks_fall_back_to_float64(clustered, monkeypatch):
     dtypes, slots = [], []
     mark, rescore = kernels._mark, kernels._rescore
 
-    def marked(left, *rest):
-        dtypes.append(left.dtype)
-        return mark(left, *rest)
+    def marked(d, *rest):
+        dtypes.append(d.dtype)
+        return mark(d, *rest)
 
-    def counted(X, rank, mask, counts, *rest):
+    def counted(X, rank, r, c, counts, *rest):
         slots.append(int(counts.sum()))
-        rescore(X, rank, mask, counts, *rest)
+        rescore(X, rank, r, c, counts, *rest)
 
     monkeypatch.setattr(kernels, "_mark", marked)
     monkeypatch.setattr(kernels, "_rescore", counted)
@@ -165,6 +165,29 @@ def test_clustered_blocks_fall_back_to_float64(clustered, monkeypatch):
     else:
         assert dtypes == [np.float32] * blocks
     assert sum(slots) < 2 * k * n          # near k a row, not n / 5 = 400
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mark_keeps_every_near_entry_when_negatives_lead_the_row(dtype):
+    # One hand-built row of rounded squared distances: its own entry (+inf),
+    # -0.0 and k + 2 small negative values among non-negative ones.  The
+    # partition through the integer view orders the negatives first and in
+    # reverse, so it cuts at another value than the float k-th; every entry
+    # within 2 t of the float k-th is still marked, and nothing past the
+    # margin of 8 t.
+    k, t = 5, 2.0**-10
+    rng = np.random.default_rng(13)
+    values = np.concatenate([-t * np.arange(1, k + 3) / 8, [-0.0],
+                             t * np.array([0.0, 0.5, 1.5, 2.5, 6.0, 9.0, 40.0])])
+    d = np.concatenate([[np.inf], rng.permutation(values)]).astype(dtype)[None, :]
+    p, mask = np.empty_like(d), np.empty(d.shape, dtype=bool)
+    total = kernels._mark(d, p, np.array([8 * t], dtype=dtype), k, mask)
+    row, marked = d[0], mask[0]
+    kth = np.partition(row, k - 1)[k - 1]
+    assert p[0, k - 1] != kth                # the integer k-th is another value
+    assert total == marked.sum()
+    assert marked[row <= kth + 2 * t].all()
+    assert not marked[row > 8 * t].any()
 
 
 # float32 candidates after the power-of-two scale: one column 1e30 times the
