@@ -5,10 +5,11 @@ by thresholding
 
     h(x) = k1*sin(c1*x.x) + k2*sin(c2*x.x)**2 + k3*cos(c3*x.x)
 
-at zero; h depends on x only through x.x, so labels are invariant under
-any rotation.  The permutation family uses
+at zero, with (c1, c2, c3, k1, k2, k3) = ORTHOGONAL_PARAMS; h depends on
+x only through x.x, so labels are invariant under any rotation.  The
+permutation family uses
 
-    h(x) = sum_{k=1..l} sum_i sin(x_i**k)
+    h(x) = sum_{k=1..l} sum_i sin(x_i**k),   l = PERMUTATION_POWERS,
 
 thresholded at the mean of h over the training split (the same threshold
 is reused for the test split); h is a symmetric sum, so labels are
@@ -17,6 +18,7 @@ invariant under any coordinate permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -43,8 +45,6 @@ class SyntheticSpec:
     n_train: int = 20000
     n_test: int = 5000
     feature_range: Optional[Tuple[float, float]] = None  # None = group default
-    params: Tuple[float, ...] = ORTHOGONAL_PARAMS
-    l: int = PERMUTATION_POWERS
 
     def __post_init__(self):
         if self.group not in GROUPS:
@@ -58,14 +58,17 @@ class SyntheticSpec:
             raise ValueError("degenerate feature range")
         if self.d < 1 or self.n_train < 1 or self.n_test < 1:
             raise ValueError("d and split sizes must be positive")
-        if self.group == "orthogonal" and len(self.params) != 6:
-            raise ValueError("orthogonal params must be (c1, c2, c3, k1, k2, k3)")
-        if self.group == "permutation" and self.l < 1:
-            raise ValueError("l must be positive")
-
-    @property
-    def threshold_mode(self) -> str:
-        return "zero" if self.group == "orthogonal" else "mean"
+        # Sampling needs hi - lo, the l2norm map and the orthogonal h need x.x,
+        # and the permutation h needs x_i^PERMUTATION_POWERS, finite in float64.
+        top = max(abs(lo), abs(hi))
+        if not math.isfinite(hi - lo):
+            raise ValueError("feature range too wide: hi - lo overflows float64")
+        if not math.isfinite(self.d * top * top):
+            raise ValueError("feature range too wide: d * max(lo^2, hi^2) overflows float64")
+        if (self.group == "permutation"
+                and not math.isfinite(math.prod([top] * PERMUTATION_POWERS))):
+            raise ValueError(f"feature range too wide: max(|lo|, |hi|)^{PERMUTATION_POWERS} "
+                             "overflows float64")
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ def generating_function(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
     """h(x) row-wise for the spec's group."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if spec.group == "orthogonal":
-        return _h_orthogonal(X, spec.params)
-    return _h_permutation(X, spec.l)
+        return _h_orthogonal(X, ORTHOGONAL_PARAMS)
+    return _h_permutation(X, PERMUTATION_POWERS)
 
 
 def generate_synthetic(spec: SyntheticSpec,
@@ -113,7 +116,7 @@ def generate_synthetic(spec: SyntheticSpec,
     total = spec.n_train + spec.n_test
     X = rng.uniform(lo, hi, size=(total, spec.d))
     h = generating_function(spec, X)
-    threshold = 0.0 if spec.threshold_mode == "zero" else float(h[: spec.n_train].mean())
+    threshold = 0.0 if spec.group == "orthogonal" else float(h[: spec.n_train].mean())
     y = (h >= threshold).astype(np.int64)
 
     def make(X_part, y_part):

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if len(self.seeds) == 0:
             raise ValueError("seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if self.invariance_target is not None:
             if not 0.0 <= self.invariance_target < math.inf:
                 raise ValueError("target error must be non-negative")

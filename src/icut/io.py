@@ -63,6 +63,8 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
         raise ValueError("not a dataset CSV")
     d = len(lines[0].split(",")) - 3
     n = len(lines) - 1
+    if n == 0:
+        raise ValueError("dataset CSV has no rows")
     ids = np.empty(n, dtype=np.int64)
     yhat = np.empty(n, dtype=np.int64)
     truth = np.empty(n, dtype=np.int64)

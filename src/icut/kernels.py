@@ -1,34 +1,31 @@
 """The two kernels: exact k-nearest neighbors and greedy herding.
 
 Both are plain numpy, so every install runs the same code.  Neighbor
-search has two paths, chosen by width alone.  A width-1 input (the
-l2norm representation) is sorted once by (value, rank); each row takes
-the 2k rows around it in that order as candidates, widened across any
-run of rows tied at the k-th distance past a window edge: about
-O(n log n + n k log k) work.  Wider inputs find candidates with the gram
-trick on column-centered rows, scaled by a power of two: O(n^2 m) work
-in blocks of rows that reuse two fixed rows x n buffers and a rows x n
-candidate mask (17 MB; float32 blocks use the first half of each
-buffer).  Each block of squared distances is one matmul, marked in
-float32 within a margin derived in ``_gram_scan`` that holds every true
-neighbor; its k-th smallest per row comes from a partition of the
-block's integer view, whose order is the value order for non-negative
-floats.  A block that marks more than 2k candidates per row (tightly
-clustered rows) is marked again in float64, as is every later block, so
-at most one float32 block per input is wasted.  One nonzero pass per
-block finds its candidates (one per slab of rows in a tie-heavy block,
-every entry a candidate), and they are rescored exactly in float64 by
-whole-block numpy calls, not a loop over its rows, in chunks of rows
-sized from their candidate counts, so a tie-heavy block keeps to the
-same budget.  Beyond the input and the table the path needs about
-25 MB, not memory that grows with n^2.  Both paths rank their
-candidates by exact squared distances computed from the input rows and
-break ties by ascending rank, so both return the same (distance,
-ascending-rank) table, exact under any translation or scale of the
-features that keeps squared distances finite in float64.  Larger inputs
-(entries from about 1e153 up) and non-finite ones raise ``ValueError``.
-Herding scans every candidate once per pick, under the same limit on its
-scores.
+search has two candidate paths, chosen by width alone, and one ranking
+step.  A width-1 input (the l2norm representation) is sorted once by
+(value, rank); a row's candidates are the rows of its 2k-row window no
+farther than its k-th distance, widened across any run of rows tied with
+it past a window edge: about O(n log n + n k log k) work.  Wider inputs
+find candidates with the gram trick on column-centered rows, scaled by a
+power of two: O(n^2 m) work in blocks of rows that reuse two fixed rows x
+n buffers and a rows x n candidate mask (17 MB; float32 blocks use the
+first half of each buffer), about 25 MB beyond the input and the table.
+Each block of squared distances is one matmul, marked in float32 within a
+margin derived in ``_gram_scan`` that holds every true neighbor; its k-th
+smallest per row comes from a partition of the block's integer view,
+whose order is the value order for non-negative floats.  A block that
+marks more than 2k candidates per row (tightly clustered rows) is marked
+again in float64, as is every later block.  One nonzero pass per block
+finds its candidates (one per slab of rows in a tie-heavy block).
+``_rescore`` ranks either path's candidates by exact squared distances
+computed from the input rows, ties broken by ascending rank, in
+whole-chunk numpy calls whose chunks of rows are sized from their
+candidate counts, so a run of ties keeps to the same memory.  Both paths
+thus return the same (distance, ascending-rank) table, exact under any
+translation or scale of the features that keeps squared distances finite
+in float64.  Larger inputs (entries from about 1e153 up) and non-finite
+ones raise ``ValueError``.  Herding scans every candidate once per pick,
+under the same limit on its scores.
 """
 
 from __future__ import annotations
@@ -178,12 +175,7 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
             r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), n)
             counts = np.bincount(r, minlength=s1 - s0)
             r += s0
-            edges = np.concatenate(([0], np.cumsum(counts)))
-            step = max(1, RESCORE_ELEMENTS // ((m + 2) * int(counts.max())))
-            for r0 in range(0, s1 - s0, step):
-                r1 = min(r0 + step, s1 - s0)
-                lo, hi = edges[r0], edges[r1]
-                _rescore(X, rank, r[lo:hi], c[lo:hi], counts[r0:r1], pos, d2)
+            _rescore_rows(X, rank, r, c, counts, pos, d2)
     return pos, d2
 
 
@@ -204,15 +196,29 @@ def _mark(d, p, margin, k, mask):
     return np.count_nonzero(mask)
 
 
+def _rescore_rows(X, rank, r, c, counts, pos, d2):
+    """Rows r[0], r[0] + 1, ... of the table from their candidates, in chunks of rows.
+
+    Candidate t is column c[t] of table row r[t], in row-major order, and
+    ``counts`` holds each row's number of them.  Chunks take as many rows as
+    keep rows x widest row x (m + 2) within RESCORE_ELEMENTS, so a row with
+    many candidates (a run of ties) shrinks the chunks, not the memory bound.
+    """
+    edges = np.concatenate(([0], np.cumsum(counts)))
+    step = max(1, RESCORE_ELEMENTS // ((X.shape[1] + 2) * int(counts.max())))
+    for r0 in range(0, counts.size, step):
+        r1 = min(r0 + step, counts.size)
+        lo, hi = edges[r0], edges[r1]
+        _rescore(X, rank, r[lo:hi], c[lo:hi], counts[r0:r1], pos, d2)
+
+
 def _rescore(X, rank, r, c, counts, pos, d2):
     """Rows r[0], r[0] + 1, ... of the table from their candidates, in one pass.
 
-    Candidate t is column c[t] of table row r[t], in row-major order, and
-    ``counts`` holds each row's number of them.  Exact squared distances of
-    every candidate, laid out one row per table row and padded with
-    (inf, rank n), which sorts after every candidate; each row holds at
-    least k candidates, so the first k columns in (distance, rank) order are
-    the row's neighbors.
+    Exact squared distances of every candidate (laid out as in
+    ``_rescore_rows``), one row per table row and padded with (inf, rank n),
+    which sorts after every candidate; each row holds at least k candidates,
+    so the first k columns in (distance, rank) order are the row's neighbors.
     """
     n, k, i0 = X.shape[0], pos.shape[1], r[0]
     diff = X.take(c, axis=0)
@@ -231,64 +237,53 @@ def _rescore(X, rank, r, c, counts, pos, d2):
 
 def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
     # In (value, rank) order the rounded difference x_q - x_p, and so its
-    # square, is monotone on each side of p.  The k rows on either side of p
-    # therefore hold every neighbor except ties at the k-th distance that lie
-    # past a window edge; those rows widen across the run of equal distances.
+    # square, is monotone on each side of p.  The rows no farther from p
+    # than its k-th distance therefore form one range [lo, stop) around it:
+    # the fewer than k closer rows, all inside the window of 2k rows around
+    # p, and the ties at the k-th distance, [lo, lt) and [ge, stop), which
+    # may reach past it.  These rows, in sorted space, are the candidates
+    # that _rescore_rows ranks.
     n = x.shape[0]
     order = np.lexsort((rank, x))
-    xs, rs = x[order], rank[order]
+    xs = x[order]
     p = np.arange(n)
-    w = min(2 * k, n - 1)                      # candidates per row
+    w = min(2 * k, n - 1)                      # rows in the window besides p
     start = np.clip(p - k, 0, n - 1 - w)       # window [start, start + w] holds p
-    end = start + w
-    window = start[:, None] + np.arange(w + 1)
-    cand = window[window != p[:, None]].reshape(n, w)
-    sel, d2 = _closest(xs, rs, p, cand, k)
+    # p's own zero gap is the window's smallest, so its (k + 1)-th smallest
+    # gap is the k-th of the other rows.
+    gaps = np.lib.stride_tricks.sliding_window_view(xs, w + 1)[start] - xs[:, None]
+    gaps *= gaps
+    gaps.partition(k, axis=1)
+    d2k = gaps[:, k].copy()
+    del gaps                                   # n x (2k + 1), not kept while rescoring
 
-    # Past the edges, [lo, start) and (end, stop) are the rows no farther
-    # than the k-th distance: all ties with it.
-    d2k = d2[:, -1]
-    lo = _first_true(lambda q: _sq_gap(xs, q, p) <= d2k, np.zeros(n, dtype=np.int64), start)
-    stop = _first_true(lambda q: _sq_gap(xs, q, p) > d2k, end + 1, np.full(n, n))
-    wide = np.flatnonzero((lo < start) | (stop > end + 1))
-    if wide.size:
-        # Rows of one value sit in ascending rank, so when a run holds a single
-        # value its first k rows are the only ones that can be picked.
-        lo, start, end, stop = lo[wide], start[wide], end[wide], stop[wide]
-        steps = np.arange(k)
-        left = lo[:, None] + steps
-        right = end[:, None] + 1 + steps
-        off = np.concatenate([np.zeros((wide.size, w), dtype=bool),
-                              left >= start[:, None], right >= stop[:, None]], axis=1)
-        more = np.concatenate([cand[wide], left, np.minimum(right, n - 1)], axis=1)
-        sel[wide], d2[wide] = _closest(xs, rs, wide, more, k, off)
-        # A run of several values (distinct values whose squared gaps round
-        # alike) has no such order; those rare rows rescan the whole range.
-        mixed = ((xs[lo] != xs[np.maximum(start - 1, lo)])
-                 | (xs[stop - 1] != xs[np.minimum(end + 1, stop - 1)]))
-        for r, a, b in zip(wide[mixed], lo[mixed], stop[mixed]):
-            span = np.arange(a, b)
-            span = span[span != r][None, :]
-            sel[r], d2[r] = _closest(xs, rs, np.array([r]), span, k)
+    def gap(q):
+        diff = xs[q] - xs[p]
+        return diff * diff
 
-    pos = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k), dtype=np.float64)
+    lo = _first_true(lambda q: gap(q) <= d2k, np.zeros(n, dtype=np.int64), p)
+    lt = _first_true(lambda q: gap(q) < d2k, np.maximum(lo, start), p)
+    ge = _first_true(lambda q: gap(q) >= d2k, p + 1, start + w + 1)
+    stop = _first_true(lambda q: gap(q) > d2k, ge, np.full(n, n))
+    # Rows of one value sit in ascending rank, so a tie run of a single
+    # value offers only its first k rows; a run of several values (distinct
+    # values whose squared gaps round alike) has no such order and offers
+    # all of its rows.
+    left = np.where(xs[lo] == xs[np.maximum(lt - 1, 0)], np.minimum(lo + k, lt), lt)
+    right = np.where(xs[np.minimum(ge, n - 1)] == xs[stop - 1], np.minimum(ge + k, stop), stop)
+
+    # Each row's candidates are the runs [lo, left), [lt, p), (p, ge) and
+    # [ge, right), laid out row by row in one flat list.
+    begin = np.stack([lo, lt, p + 1, ge], axis=1).ravel()
+    size = np.stack([left - lo, p - lt, ge - p - 1, right - ge], axis=1).ravel()
+    counts = size.reshape(n, 4).sum(axis=1)
+    c = np.arange(int(counts.sum())) + np.repeat(begin - (np.cumsum(size) - size), size)
+    sel, d2 = np.empty((n, k), dtype=np.int64), np.empty((n, k))
+    _rescore_rows(xs[:, None], rank[order], np.repeat(p, counts), c, counts, sel, d2)
+    pos, dist = np.empty_like(sel), np.empty_like(d2)
     pos[order] = order[sel]
     dist[order] = d2
     return pos, dist
-
-
-def _sq_gap(xs, q, p):
-    diff = xs[q] - xs[p]
-    return diff * diff
-
-
-def _closest(xs, rs, p, cand, k, off=None):
-    """Per row of ``cand``: the k smallest (squared gap to p, rank), ``off`` ones last."""
-    d2 = _sq_gap(xs, cand, p[:, None])
-    keys = (rs[cand], d2) if off is None else (rs[cand], d2, off)
-    pick = np.lexsort(keys, axis=-1)[:, :k]
-    return np.take_along_axis(cand, pick, 1), np.take_along_axis(d2, pick, 1)
 
 
 def _first_true(pred, lo, hi):

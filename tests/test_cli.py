@@ -268,6 +268,16 @@ def test_exp_prints_table_and_reruns_identically(capsys, tmp_path):
     assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("verb,out", [("select", "--out-scores"), ("represent", "--out")])
+def test_header_only_dataset_is_a_load_error(capsys, tmp_path, verb, out):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("id,y,yhat,f0,f1\n")
+    code, _, err = run_cli(capsys, verb, "--in", str(empty), out, str(tmp_path / "o.csv"))
+    assert code == 1
+    assert err == "error: [load] dataset CSV has no rows\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_exp_missing_train_file_is_a_stage_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "exp", "--train", str(tmp_path / "absent.csv"),
                            "--epochs", "2", "--seed-list", "0")
@@ -443,6 +453,25 @@ def test_exp_bad_target_error_is_a_usage_error_before_data_generation(
                            "--out-dir", str(tmp_path), *argv)
     assert code == 2
     assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["exp", "--seed-list", "0,0"], "seeds must be distinct"),
+    (["exp", "--range", "-1e300", "1e300"], "feature range too wide: d * max(lo^2, hi^2)"),
+    (["gen", "--range", "-1e308", "1e308"], "feature range too wide: hi - lo overflows"),
+], ids=["exp_repeated_seed", "exp_range", "gen_range"])
+def test_bad_seeds_or_range_are_usage_errors_before_data_generation(
+        capsys, tmp_path, monkeypatch, argv, message):
+    def no_generation(*args, **kw):
+        raise AssertionError("data was generated")
+    monkeypatch.setattr("icut.experiment.generate_synthetic", no_generation)
+    monkeypatch.setattr("icut.cli.generate_synthetic", no_generation)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--group", "orthogonal", "--n-train", "120",
+                             "--n-test", "60")
+    assert code == 2
+    assert message in err and out == ""
     assert list(tmp_path.iterdir()) == []
 
 

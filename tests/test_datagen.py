@@ -5,7 +5,7 @@ import pytest
 
 from icut import (LabeledDataset, NoiseSpec, SyntheticSpec, generate_synthetic,
                   generating_function, inject_label_noise)
-from icut.datagen import DEFAULT_DIM, DEFAULT_RANGE
+from icut.datagen import DEFAULT_DIM, DEFAULT_RANGE, ORTHOGONAL_PARAMS, PERMUTATION_POWERS
 from conftest import apply_group_action, haar_rotation, random_dataset
 
 
@@ -16,8 +16,6 @@ def test_spec_fills_group_defaults():
     spec = SyntheticSpec(group="orthogonal")
     assert spec.d == DEFAULT_DIM["orthogonal"]
     assert spec.feature_range == DEFAULT_RANGE["orthogonal"]
-    assert spec.threshold_mode == "zero"
-    assert SyntheticSpec(group="permutation").threshold_mode == "mean"
 
 
 def test_spec_rejects_unknown_group():
@@ -30,9 +28,15 @@ def test_spec_rejects_degenerate_range():
         SyntheticSpec(group="orthogonal", feature_range=(1.0, 1.0))
 
 
-def test_spec_rejects_bad_param_count():
-    with pytest.raises(ValueError, match="orthogonal params"):
-        SyntheticSpec(group="orthogonal", params=(1.0, 2.0))
+@pytest.mark.parametrize("group,feature_range,message", [
+    ("orthogonal", (-1e308, 1e308), "hi - lo overflows"),
+    ("orthogonal", (-1e300, 1e300), r"d \* max\(lo\^2, hi\^2\) overflows"),
+    ("permutation", (0.0, 1e200), r"d \* max\(lo\^2, hi\^2\) overflows"),
+    ("permutation", (-1e100, 1e100), r"max\(\|lo\|, \|hi\|\)\^5 overflows"),
+], ids=["span", "orthogonal-norm", "permutation-norm", "permutation-power"])
+def test_spec_rejects_ranges_that_overflow(group, feature_range, message):
+    with pytest.raises(ValueError, match="feature range too wide: " + message):
+        SyntheticSpec(group=group, feature_range=feature_range)
 
 
 def test_spec_rejects_empty_splits():
@@ -51,17 +55,17 @@ def test_orthogonal_generator_matches_hand_formula():
     spec = SyntheticSpec(group="orthogonal", d=4)
     rng = np.random.default_rng(0)
     X = rng.normal(size=(50, 4))
-    c1, c2, c3, k1, k2, k3 = spec.params
+    c1, c2, c3, k1, k2, k3 = ORTHOGONAL_PARAMS
     s = (X * X).sum(axis=1)
     want = k1 * np.sin(c1 * s) + k2 * np.sin(c2 * s) ** 2 + k3 * np.cos(c3 * s)
     assert np.allclose(generating_function(spec, X), want, atol=1e-12)
 
 
 def test_permutation_generator_matches_hand_formula():
-    spec = SyntheticSpec(group="permutation", d=3, l=4)
+    spec = SyntheticSpec(group="permutation", d=3)
     rng = np.random.default_rng(1)
     X = rng.uniform(-1.0, 1.0, size=(40, 3))
-    want = sum(np.sin(X ** k).sum(axis=1) for k in range(1, 5))
+    want = sum(np.sin(X ** k).sum(axis=1) for k in range(1, PERMUTATION_POWERS + 1))
     assert np.allclose(generating_function(spec, X), want, atol=1e-12)
 
 

@@ -42,6 +42,11 @@ def test_config_rejects_empty_seeds():
         tiny_config(seeds=())
 
 
+def test_config_rejects_repeated_seeds():
+    with pytest.raises(ValueError, match="seeds must be distinct"):
+        tiny_config(seeds=(0, 0))
+
+
 def test_config_rejects_negative_invariance_target():
     with pytest.raises(ValueError, match="target error must be non-negative"):
         tiny_config(invariance_target=-0.1)

@@ -63,6 +63,13 @@ def test_dataset_rejects_foreign_header(tmp_path):
         read_dataset_csv(path)
 
 
+def test_dataset_rejects_header_only_file(tmp_path):
+    path = tmp_path / "a.csv"
+    path.write_text("id,y,yhat,f0,f1\n")
+    with pytest.raises(ValueError, match="^dataset CSV has no rows$"):
+        read_dataset_csv(path)
+
+
 def test_dataset_rejects_short_row(tmp_path):
     path = tmp_path / "a.csv"
     path.write_text("id,y,yhat,f0,f1\n0,1,1,0.5\n")

@@ -56,7 +56,8 @@ def _gram_case(kind, n, rng):
 
 # 300 rows in blocks of 64: four full blocks and a partial one of 44.  A
 # small rescoring budget splits each block into several chunks of rows: a
-# budget of 1 rescores one row at a time.
+# budget of 1 rescores one row at a time.  Width 1 takes the sorted scan,
+# whose candidates go through the same chunked rescoring.
 @pytest.mark.parametrize("kind,k,budget", [
     *(pytest.param(kind, k, None, id=f"{kind}-{k}")
       for kind, k in [("width-2", 10), ("width-5", 10), ("width-32", 10), ("duplicates", 10),
@@ -64,7 +65,7 @@ def _gram_case(kind, n, rng):
     *(pytest.param(kind, k, budget, id=f"{kind}-{k}-budget{budget}")
       for kind, k, budget in [("width-32", 10, 2000), ("duplicates", 10, 3000),
                               ("grid", 30, 1), ("offset", 10, 2000), ("width-3", 299, 1),
-                              ("width-3", 299, 6000)]),
+                              ("width-3", 299, 6000), ("width-1", 10, 200)]),
 ])
 def test_gram_path_across_several_blocks_matches_full_sort(kind, k, budget, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64 * 300)
@@ -296,6 +297,18 @@ def test_width_one_tie_run_across_distinct_values():
     rank = np.array([0, 1, 2, 5, 3, 4], dtype=np.int64)
     _assert_matches_full_sort(x, rank, 2)
     assert kernels.neighbor_table(x[:, None], rank, 2)[0][0].tolist() == [4, 5]
+
+
+def test_width_one_tie_runs_of_several_values_on_both_sides():
+    # Gaps under about 1e-162 square to 0, so the 60 distinct values
+    # near 0 all lie at distance 0 from one another: a middle row's ties run
+    # past both window edges, each run holding many values in no rank order.
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.arange(-30, 30) * 1e-170, [-3.0, 1.0, 2.0]])
+    rank = rng.permutation(x.size)
+    _assert_matches_full_sort(x, rank, 5)
+    lowest = [i for i in np.argsort(rank[:60]) if i != 30][:5]   # row 30 is 0.0
+    assert kernels.neighbor_table(x[:, None], rank, 5)[0][30].tolist() == lowest
 
 
 def test_neighbor_table_breaks_distance_ties_by_rank():
