@@ -83,15 +83,15 @@ class NoiseSpec:
             raise ValueError("need at least 2 classes")
 
 
-def _h_orthogonal(X: np.ndarray, params) -> np.ndarray:
-    c1, c2, c3, k1, k2, k3 = params
+def _h_orthogonal(X: np.ndarray) -> np.ndarray:
+    c1, c2, c3, k1, k2, k3 = ORTHOGONAL_PARAMS
     s = np.einsum("ij,ij->i", X, X)
     return k1 * np.sin(c1 * s) + k2 * np.sin(c2 * s) ** 2 + k3 * np.cos(c3 * s)
 
 
-def _h_permutation(X: np.ndarray, l: int) -> np.ndarray:
+def _h_permutation(X: np.ndarray) -> np.ndarray:
     out = np.zeros(X.shape[0])
-    for k in range(1, l + 1):
+    for k in range(1, PERMUTATION_POWERS + 1):
         out += np.sin(X ** k).sum(axis=1)
     return out
 
@@ -100,8 +100,8 @@ def generating_function(spec: SyntheticSpec, X: np.ndarray) -> np.ndarray:
     """h(x) row-wise for the spec's group."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if spec.group == "orthogonal":
-        return _h_orthogonal(X, ORTHOGONAL_PARAMS)
-    return _h_permutation(X, PERMUTATION_POWERS)
+        return _h_orthogonal(X)
+    return _h_permutation(X)
 
 
 def generate_synthetic(spec: SyntheticSpec,

@@ -1,31 +1,28 @@
 """The two kernels: exact k-nearest neighbors and greedy herding.
 
 Both are plain numpy, so every install runs the same code.  Neighbor
-search has two candidate paths, chosen by width alone, and one ranking
-step.  A width-1 input (the l2norm representation) is sorted once by
-(value, rank); a row's candidates are the rows of its 2k-row window no
-farther than its k-th distance, widened across any run of rows tied with
-it past a window edge: about O(n log n + n k log k) work.  Wider inputs
-find candidates with the gram trick on column-centered rows, scaled by a
-power of two: O(n^2 m) work in blocks of rows that reuse two fixed rows x
-n buffers and a rows x n candidate mask (17 MB; float32 blocks use the
-first half of each buffer), about 25 MB beyond the input and the table.
-Each block of squared distances is one matmul, marked in float32 within a
-margin derived in ``_gram_scan`` that holds every true neighbor; its k-th
-smallest per row comes from a partition of the block's integer view,
-whose order is the value order for non-negative floats.  A block that
-marks more than 2k candidates per row (tightly clustered rows) is marked
-again in float64, as is every later block.  One nonzero pass per block
-finds its candidates (one per slab of rows in a tie-heavy block).
-``_rescore`` ranks either path's candidates by exact squared distances
-computed from the input rows, ties broken by ascending rank, in
-whole-chunk numpy calls whose chunks of rows are sized from their
-candidate counts, so a run of ties keeps to the same memory.  Both paths
-thus return the same (distance, ascending-rank) table, exact under any
-translation or scale of the features that keeps squared distances finite
-in float64.  Larger inputs (entries from about 1e153 up) and non-finite
-ones raise ``ValueError``.  Herding scans every candidate once per pick,
-under the same limit on its scores.
+search has two candidate proposers, chosen by width alone, and one
+ranking step.  A width-1 input (the l2norm representation) is sorted
+once by (value, rank); a row proposes the rows of its 2k-row window no
+farther than its k-th distance, and the tie runs at that distance past
+the window edges: about O(n log n + n k log k) work.  Wider inputs
+propose with the gram trick on column-centered rows, scaled by a power
+of two: O(n^2 m) work in blocks of rows that reuse two fixed rows x n
+buffers and a rows x n candidate mask, about 25 MB beyond the input and
+the table.  Each block of squared distances is one matmul, marked in
+float32 within a margin derived in ``_gram_scan`` that holds every true
+neighbor, cut at the k-th smallest of its integer view, whose order is
+the value order for non-negative floats.  A block that marks more than
+2k candidates per row (tightly clustered rows) is marked again in
+float64, as is every later block.  ``_rescore`` ranks either path's
+candidates by exact squared distances of the input rows, ties broken by
+ascending rank, in chunks of rows sized from their own candidate counts,
+so that runs of ties keep to the same memory.  Both paths thus return
+the same (distance, ascending-rank) table, exact under any translation
+or scale of the features that keeps squared distances finite in float64.
+Larger inputs (entries from about 1e153 up) and non-finite ones raise
+``ValueError``.  Herding scans every candidate once per pick, under the
+same limit on its scores.
 """
 
 from __future__ import annotations
@@ -40,8 +37,9 @@ import numpy as np
 BLOCK_ELEMENTS = 2**20
 
 # Candidate slots rescored at once, counted as chunk rows x the chunk's
-# widest row x (m + 2): the gathered rows, their differences and the index
-# arrays take at most 16 bytes per element, 8 MB in all.
+# widest row x (m + 4): a candidate's gathered rows take 16 m bytes, and its
+# distance, rank, mask and sort indices about 50 (traced peaks: 57 bytes at
+# m = 1, 512 at m = 32), so at most 16 bytes per element, 8 MB in all.
 RESCORE_ELEMENTS = BLOCK_ELEMENTS // 2
 
 OVERFLOW = ("squared distances overflow float64: non-finite representation values, "
@@ -156,10 +154,9 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
             return _mark(d, p[:b1 - b0], margin[b0:b1], k, mask)
         return mark
 
-    # One nonzero pass finds a block's candidates, or, when they number over
-    # RESCORE_ELEMENTS / 4 (a tie-heavy block), one pass per slab of rows
-    # holding at most that many mask entries, so that a pass's flat, row and
-    # column indices take at most 3 MB.
+    # One nonzero pass finds a block's candidates, or, past RESCORE_ELEMENTS
+    # / 4 of them (a tie-heavy block), one pass per slab of rows holding at
+    # most that many mask entries: a pass's indices take at most 3 MB.
     slab = max(1, RESCORE_ELEMENTS // (4 * n))
     mark, in_float64 = marker(np.float32, 5), False
     for b0 in range(0, n, rows):
@@ -175,7 +172,8 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
             r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), n)
             counts = np.bincount(r, minlength=s1 - s0)
             r += s0
-            _rescore_rows(X, rank, r, c, counts, pos, d2)
+            e = np.concatenate(([0], np.cumsum(counts)))
+            _rescore_rows(X, rank, counts, lambda a, b: (r[e[a]:e[b]], c[e[a]:e[b]]), pos, d2)
     return pos, d2
 
 
@@ -196,29 +194,31 @@ def _mark(d, p, margin, k, mask):
     return np.count_nonzero(mask)
 
 
-def _rescore_rows(X, rank, r, c, counts, pos, d2):
-    """Rows r[0], r[0] + 1, ... of the table from their candidates, in chunks of rows.
+def _rescore_rows(X, rank, counts, candidates, pos, d2):
+    """Table rows from their candidates, in chunks of consecutive rows.
 
-    Candidate t is column c[t] of table row r[t], in row-major order, and
-    ``counts`` holds each row's number of them.  Chunks take as many rows as
-    keep rows x widest row x (m + 2) within RESCORE_ELEMENTS, so a row with
-    many candidates (a run of ties) shrinks the chunks, not the memory bound.
+    ``counts`` holds each row's number of candidates (k at least), and
+    ``candidates(r0, r1)`` returns those of rows [r0, r1) as flat, row-major
+    (r, c): candidate t is column c[t] of table row r[t].  A chunk takes rows
+    while rows x its widest row x (m + 4) fits RESCORE_ELEMENTS (one row at
+    least), so a row of many candidates only shrinks the chunks around it.
     """
-    edges = np.concatenate(([0], np.cumsum(counts)))
-    step = max(1, RESCORE_ELEMENTS // ((X.shape[1] + 2) * int(counts.max())))
-    for r0 in range(0, counts.size, step):
-        r1 = min(r0 + step, counts.size)
-        lo, hi = edges[r0], edges[r1]
-        _rescore(X, rank, r[lo:hi], c[lo:hi], counts[r0:r1], pos, d2)
+    budget, r0 = RESCORE_ELEMENTS // (X.shape[1] + 4), 0
+    while r0 < counts.size:
+        ahead = counts[r0:r0 + budget // int(counts[r0])]
+        fits = np.arange(1, ahead.size + 1) * np.maximum.accumulate(ahead) <= budget
+        r1 = r0 + max(1, int(np.count_nonzero(fits)))
+        _rescore(X, rank, *candidates(r0, r1), counts[r0:r1], pos, d2)
+        r0 = r1
 
 
 def _rescore(X, rank, r, c, counts, pos, d2):
     """Rows r[0], r[0] + 1, ... of the table from their candidates, in one pass.
 
     Exact squared distances of every candidate (laid out as in
-    ``_rescore_rows``), one row per table row and padded with (inf, rank n),
-    which sorts after every candidate; each row holds at least k candidates,
-    so the first k columns in (distance, rank) order are the row's neighbors.
+    ``_rescore_rows``), one row per table row, padded with (inf, rank n),
+    which sorts last; the first k columns in (distance, rank) order are the
+    row's neighbors.
     """
     n, k, i0 = X.shape[0], pos.shape[1], r[0]
     diff = X.take(c, axis=0)
@@ -241,8 +241,7 @@ def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
     # than its k-th distance therefore form one range [lo, stop) around it:
     # the fewer than k closer rows, all inside the window of 2k rows around
     # p, and the ties at the k-th distance, [lo, lt) and [ge, stop), which
-    # may reach past it.  These rows, in sorted space, are the candidates
-    # that _rescore_rows ranks.
+    # may reach past it.  From these rows come the candidates to rescore.
     n = x.shape[0]
     order = np.lexsort((rank, x))
     xs = x[order]
@@ -251,7 +250,8 @@ def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
     start = np.clip(p - k, 0, n - 1 - w)       # window [start, start + w] holds p
     # p's own zero gap is the window's smallest, so its (k + 1)-th smallest
     # gap is the k-th of the other rows.
-    gaps = np.lib.stride_tricks.sliding_window_view(xs, w + 1)[start] - xs[:, None]
+    gaps = np.lib.stride_tricks.sliding_window_view(xs, w + 1)[start]
+    gaps -= xs[:, None]
     gaps *= gaps
     gaps.partition(k, axis=1)
     d2k = gaps[:, k].copy()
@@ -273,17 +273,21 @@ def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
     right = np.where(xs[np.minimum(ge, n - 1)] == xs[stop - 1], np.minimum(ge + k, stop), stop)
 
     # Each row's candidates are the runs [lo, left), [lt, p), (p, ge) and
-    # [ge, right), laid out row by row in one flat list.
-    begin = np.stack([lo, lt, p + 1, ge], axis=1).ravel()
-    size = np.stack([left - lo, p - lt, ge - p - 1, right - ge], axis=1).ravel()
-    counts = size.reshape(n, 4).sum(axis=1)
-    c = np.arange(int(counts.sum())) + np.repeat(begin - (np.cumsum(size) - size), size)
+    # [ge, right), expanded for one chunk of rows at a time into a flat list.
+    begin = np.stack([lo, lt, p + 1, ge], axis=1)
+    size = np.stack([left - lo, p - lt, ge - p - 1, right - ge], axis=1)
+    counts = size.sum(axis=1)
+
+    def candidates(r0, r1):
+        b, s = begin[r0:r1].ravel(), size[r0:r1].ravel()
+        c = np.arange(int(s.sum())) + np.repeat(b - (np.cumsum(s) - s), s)
+        return np.repeat(p[r0:r1], counts[r0:r1]), c
+
     sel, d2 = np.empty((n, k), dtype=np.int64), np.empty((n, k))
-    _rescore_rows(xs[:, None], rank[order], np.repeat(p, counts), c, counts, sel, d2)
-    pos, dist = np.empty_like(sel), np.empty_like(d2)
-    pos[order] = order[sel]
-    dist[order] = d2
-    return pos, dist
+    _rescore_rows(xs[:, None], rank[order], counts, candidates, sel, d2)
+    back = np.empty_like(order)
+    back[order] = p                            # sorted place of each row
+    return order[sel[back]], d2[back]
 
 
 def _first_true(pred, lo, hi):

@@ -118,17 +118,21 @@ def test_gram_path_memory_does_not_grow_with_n_squared():
     _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
 
 
-@pytest.mark.parametrize("kind", ["identical", "underflow"])
+@pytest.mark.parametrize("kind", ["identical", "underflow", "underflow-width-1"])
 def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
     # Every entry of every block is a candidate: identical rows, or rows whose
     # rescored squared distances underflow to 0 (each block goes to float64
-    # after the first).  Rescoring in chunks keeps the memory bound.
+    # after the first).  At width 1 the underflow makes every row's ties run
+    # over the whole input, each run holding several values, so every row
+    # proposes all n - 1 others.  Rescoring in chunks keeps the memory bound.
     rng = np.random.default_rng(10)
     n = 4000
     if kind == "identical":
         X = np.tile(rng.normal(size=32), (n, 1))
-    else:
+    elif kind == "underflow":
         X = rng.normal(size=(n, 32)) * 1e-170
+    else:
+        X = rng.normal(size=(n, 1)) * 1e-170
     _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
 
 
