@@ -77,13 +77,14 @@ def load_external_representation(dataset: LabeledDataset, path) -> RepresentedDa
         raise ValueError(
             f"row-count mismatch: embedding file has {ids.shape[0]} rows, dataset has {dataset.n}"
         )
-    if not np.array_equal(np.sort(ids), np.sort(dataset.ids)):
+    # The file row of each dataset id.  Dataset ids are unique and the counts
+    # match, so finding every one of them makes the file's ids the same set.
+    order = np.argsort(ids, kind="stable")
+    lookup = order[np.minimum(np.searchsorted(ids, dataset.ids, sorter=order), dataset.n - 1)]
+    if not np.array_equal(ids[lookup], dataset.ids):
         raise ValueError("id mismatch between embedding file and dataset")
     if not np.all(np.isfinite(reps)):
         raise ValueError("non-finite embedding value")
-    # re-order file rows into dataset order
-    order = np.argsort(ids, kind="stable")
-    lookup = order[np.searchsorted(ids, dataset.ids, sorter=order)]
     return RepresentedDataset(base=dataset, representations=reps[lookup], kind="external")
 
 

@@ -1,4 +1,5 @@
-"""Shared test helpers: independent oracles, group actions and dataset factories.
+"""Shared test helpers: independent oracles, group actions, dataset factories
+and readers for the report and selection files the library writes.
 
 The oracles here are deliberately written as plain scans and straight-line
 formula transcriptions, independent of the package's vectorized kernels,
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from icut import LabeledDataset
+from icut.io import read_lines
 
 # Lines appended by the acceptance tests; printed after the run so the
 # per-criterion verdicts are visible in the terminal output.
@@ -36,6 +38,23 @@ def random_dataset(n, d, num_classes=2, seed=0, with_truth=True, shuffle_ids=Fal
         ids=ids,
         true_labels=labels.copy() if with_truth else None,
     )
+
+
+def read_csv(path):
+    """(header, rows) of a CSV the library wrote, every cell a string."""
+    lines = read_lines(path)
+    if not lines:
+        raise ValueError("empty CSV")
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def read_selection_csv(path):
+    """(ids, scores) of a selection CSV written by ``io.write_selection_csv``."""
+    header, rows = read_csv(path)
+    if header != ["id", "score"]:
+        raise ValueError("not a selection CSV")
+    return (np.array([int(row[0]) for row in rows], dtype=np.int64),
+            np.array([float(row[1]) for row in rows], dtype=np.float64))
 
 
 def oracle_neighbors(reps, ids, k):

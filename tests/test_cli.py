@@ -14,10 +14,10 @@ from icut import CutstatsConfig, LabeledDataset, MlpConfig, kernels, mlp, round_
 from icut.cli import main
 from icut.core import METHODS
 from icut.experiment import ExperimentConfig, select
-from icut.io import (read_csv, read_dataset_csv, read_embedding_csv,
-                     read_selection_csv, read_subset, write_dataset_csv,
-                     write_embedding_csv)
+from icut.io import (read_dataset_csv, read_embedding_csv, read_subset,
+                     write_dataset_csv, write_embedding_csv)
 from icut.representation import CALIBRATION_MISSED
+from conftest import read_csv, read_selection_csv
 
 
 def run_cli(capsys, *argv):

@@ -7,9 +7,9 @@ from icut import experiment
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, NoiseSpec,
                   StageError, SyntheticSpec, run_ablation, run_bounds,
                   run_experiment, run_seed)
-from icut.io import read_csv, write_dataset_csv
+from icut.io import write_dataset_csv
 from icut.theory import WindowParams, feasibility_window
-from conftest import random_dataset
+from conftest import random_dataset, read_csv
 
 TINY_SPEC = SyntheticSpec(group="orthogonal", d=6, n_train=300, n_test=100)
 TINY_MLP = MlpConfig(epochs=2, batch_size=64)

@@ -15,7 +15,7 @@ import pytest
 
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, SyntheticSpec,
                   run_ablation, run_experiment)
-from icut.io import read_csv
+from conftest import read_csv
 
 SPEC = SyntheticSpec(group="orthogonal", d=6, n_train=400, n_test=100)
 

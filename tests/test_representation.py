@@ -114,6 +114,18 @@ def test_external_wrong_id_is_id_mismatch(tmp_path):
         load_external_representation(ds, path)
 
 
+# Same row count, but one id repeats in place of another: the largest
+# (found past the end of the sorted file ids) or one in the middle.
+@pytest.mark.parametrize("slot,copy", [(4, 3), (2, 1)], ids=["largest", "middle"])
+def test_external_repeated_id_is_id_mismatch(tmp_path, slot, copy):
+    ds = random_dataset(5, 2, seed=7)
+    ids = ds.ids.copy()
+    ids[slot] = ids[copy]
+    path = _write_embedding(tmp_path, ids, np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="^id mismatch between embedding file and dataset$"):
+        load_external_representation(ds, path)
+
+
 def test_external_nonfinite_value_is_rejected(tmp_path):
     ds = random_dataset(5, 2, seed=8)
     mat = np.zeros((5, 3))
