@@ -16,6 +16,26 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
+def _int64(values, field: str) -> np.ndarray:
+    """``values`` as int64; a value the cast would change raises ``ValueError``.
+
+    Non-integral, non-finite and out-of-range floats, uint64 values past
+    int64 and non-numeric entries are refused before the cast, which would
+    truncate or wrap them.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind == "f":
+        # every comparison with NaN is false
+        ok = np.all((a >= -2.0**63) & (a < 2.0**63) & (np.floor(a) == a))
+    elif a.dtype.kind == "u":
+        ok = a.size == 0 or a.max() <= np.iinfo(np.int64).max
+    else:
+        ok = a.dtype.kind in "bi"
+    if not ok:
+        raise ValueError(f"{field} must be integers within the int64 range")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """A feature matrix with noisy labels and (when known) true labels.
@@ -33,13 +53,13 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        noisy = np.asarray(self.noisy_labels, dtype=np.int64)
-        ids = np.asarray(self.ids, dtype=np.int64)
+        noisy = _int64(self.noisy_labels, "noisy_labels")
+        ids = _int64(self.ids, "ids")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "noisy_labels", noisy)
         object.__setattr__(self, "ids", ids)
         if self.true_labels is not None:
-            object.__setattr__(self, "true_labels", np.asarray(self.true_labels, dtype=np.int64))
+            object.__setattr__(self, "true_labels", _int64(self.true_labels, "true_labels"))
         n = feats.shape[0]
         if feats.ndim != 2 or n < 1 or feats.shape[1] < 1:
             raise ValueError("features must be a nonempty n x d matrix")
@@ -54,7 +74,8 @@ class LabeledDataset:
         for labels in (noisy,) + ((self.true_labels,) if self.true_labels is not None else ()):
             if labels.min() < 0 or labels.max() >= self.num_classes:
                 raise ValueError("labels must lie in [0, num_classes)")
-        if np.unique(ids).size != n:
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("ids must be unique")
 
     @property

@@ -56,10 +56,6 @@ def _split_lines(text: str) -> List[str]:
     return text.rstrip("\n").split("\n") if text else []
 
 
-def read_lines(path) -> List[str]:
-    return _split_lines(_read_text(path))
-
-
 # --- numeric rows: numpy's C reader, else an exact row loop ------------------
 #
 # A reader describes its rows as a structured dtype, one field per column

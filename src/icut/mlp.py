@@ -124,10 +124,10 @@ def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.n
         dZ2 /= B
         dH = dZ2 @ W2.T
     np.matmul(H.T, dZ2, out=gW2)
-    np.sum(dZ2, axis=0, out=gb2)
+    np.add.reduce(dZ2, axis=0, out=gb2)
     dH *= H > 0
     np.matmul(X.T, dH, out=gW1)
-    np.sum(dH, axis=0, out=gb1)
+    np.add.reduce(dH, axis=0, out=gb1)
     return probs
 
 

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from icut import LabeledDataset
-from icut.io import read_lines
 
 # Lines appended by the acceptance tests; printed after the run so the
 # per-criterion verdicts are visible in the terminal output.
@@ -38,6 +37,13 @@ def random_dataset(n, d, num_classes=2, seed=0, with_truth=True, shuffle_ids=Fal
         ids=ids,
         true_labels=labels.copy() if with_truth else None,
     )
+
+
+def read_lines(path):
+    """The lines of a file the library wrote, without their "\\n" ends."""
+    with open(path, "r", newline="") as f:
+        text = f.read()
+    return text.rstrip("\n").split("\n") if text else []
 
 
 def read_csv(path):

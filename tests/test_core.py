@@ -57,6 +57,40 @@ def test_dataset_rejects_duplicate_ids():
                        num_classes=2, ids=np.array([4, 4]))
 
 
+def test_dataset_finds_duplicate_ids_anywhere():
+    with pytest.raises(ValueError, match="unique"):
+        LabeledDataset(features=np.zeros((4, 2)), noisy_labels=np.zeros(4, dtype=int),
+                       num_classes=2, ids=np.array([9, -3, 5, -3]))
+
+
+@pytest.mark.parametrize("field,values", [
+    ("ids", [0.5, 1.5, 2.5]),
+    ("ids", [0.0, np.nan, 2.0]),
+    ("ids", [0.0, 1.0, np.inf]),
+    ("ids", [0.0, 1.0, 2.0**63]),
+    ("ids", np.array([0, 1, 2**63], dtype=np.uint64)),
+    ("ids", np.array([0, 1, 2**70], dtype=object)),
+    ("noisy_labels", [0.0, 0.9, 1.7]),
+    ("noisy_labels", [0.0, 1.0, -np.inf]),
+    ("true_labels", [0.0, 1.0, 0.5]),
+])
+def test_dataset_rejects_values_the_int64_cast_would_change(field, values):
+    fields = dict(features=np.zeros((3, 2)), noisy_labels=np.zeros(3, dtype=int),
+                  num_classes=2, ids=np.arange(3), true_labels=np.zeros(3, dtype=int))
+    fields[field] = values
+    with pytest.raises(ValueError, match=f"^{field} must be integers"):
+        LabeledDataset(**fields)
+
+
+def test_dataset_takes_integral_floats_and_the_int64_extremes():
+    ds = LabeledDataset(features=np.zeros((3, 2)), noisy_labels=[0.0, 1.0, -0.0],
+                        num_classes=2, ids=[-2.0**63, 2.0**63 - 1024, 7.0],
+                        true_labels=np.array([1, 0, 1], dtype=np.uint8))
+    assert ds.ids.tolist() == [-2**63, 2**63 - 1024, 7]
+    assert ds.noisy_labels.tolist() == [0, 1, 0]
+    assert ds.true_labels.dtype == np.int64
+
+
 def test_dataset_rejects_too_few_classes():
     with pytest.raises(ValueError, match="at least 2"):
         LabeledDataset(features=np.zeros((2, 2)), noisy_labels=np.zeros(2, dtype=int),

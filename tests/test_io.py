@@ -6,12 +6,11 @@ import pytest
 
 from icut import SelectionResult, io
 from icut.io import (_write_lines, format_float, read_dataset_csv,
-                     read_embedding_csv, read_lines, read_subset,
-                     write_bounds_csv, write_csv, write_dataset_csv,
-                     write_embedding_csv, write_selection_csv, write_subset,
-                     write_text_table)
+                     read_embedding_csv, read_subset, write_bounds_csv,
+                     write_csv, write_dataset_csv, write_embedding_csv,
+                     write_selection_csv, write_subset, write_text_table)
 from icut.theory import WindowParams, feasibility_window
-from conftest import random_dataset, read_csv, read_selection_csv
+from conftest import random_dataset, read_csv, read_lines, read_selection_csv
 
 
 def test_format_float_is_repr():

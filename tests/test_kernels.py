@@ -333,17 +333,34 @@ def test_herding_matches_plain_loop_oracle(seed, d):
 
 
 @pytest.mark.parametrize("d", [1, 5, 100])
-@pytest.mark.parametrize("layout", ["duplicates", "grid"])
-def test_herding_ties_go_to_the_earliest_row(layout, d):
+@pytest.mark.parametrize("layout,n", [("duplicates", 300), ("grid", 300), ("duplicates", 301)],
+                         ids=["duplicates", "grid", "duplicates-301"])
+def test_herding_ties_go_to_the_earliest_row(layout, n, d):
     # exact duplicates score alike in any layout, and so do grid rows of
-    # equal score: each tie must go to the earliest row, as in the oracle
+    # equal score: each tie must go to the earliest row, as in the oracle.
+    # n = 301 puts duplicates among the last n % 4 columns of the product.
     rng = np.random.default_rng(40 + d)
     if layout == "duplicates":
-        X = rng.normal(size=(30, d))[rng.integers(30, size=300)]
+        X = rng.normal(size=(30, d))[rng.integers(30, size=n)]
     else:
-        X = rng.integers(-2, 3, size=(300, d)).astype(np.float64)
+        X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
     mu = X.mean(axis=0)
     assert np.array_equal(kernels.herding_greedy(X, mu, 60), oracle_herding(X, mu, 60))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+def test_herding_tail_duplicate_loses_its_tie_to_the_earlier_copy(d):
+    # BLAS scores the last n % 4 columns of a product apart from the rest;
+    # a duplicate there, of an earlier row near the target, must still
+    # score like that row and be picked after it
+    rng = np.random.default_rng(d)
+    for _ in range(60):
+        n = 4 * int(rng.integers(2, 25)) + int(rng.integers(1, 4))
+        X = rng.normal(size=(n, d))
+        first = int(rng.integers(0, n - n % 4))
+        X[n - 1 - int(rng.integers(0, n % 4))] = X[first]
+        mu = X[first] + 1e-3 * rng.normal(size=d)
+        assert np.array_equal(kernels.herding_greedy(X, mu, 3), oracle_herding(X, mu, 3))
 
 
 def test_herding_first_pick_is_nearest_to_target():
