@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
@@ -14,6 +16,19 @@ REPRESENTATION_KINDS = ("identity", "l2norm", "sort", "external")
 def round_half_up(x: float) -> int:
     """round(x) with .5 going up, as in the retained-count rule."""
     return int(np.floor(x + 0.5))
+
+
+def as_int(value, field: str) -> int:
+    """``value`` as a Python int; a non-integral or non-finite value raises ``ValueError``.
+
+    Ints of any size, numpy ints among them, and integral floats pass;
+    ``int()`` alone would truncate 2.5 to 2 and fail on NaN without the name.
+    """
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def _int64(values, field: str) -> np.ndarray:
@@ -191,7 +206,7 @@ def rank_select(scores: np.ndarray, ids: np.ndarray, tau: float) -> np.ndarray:
     """Ids of the round(tau*n) smallest scores, ties by ascending id."""
     scores = np.asarray(scores, dtype=np.float64)
     ids = np.asarray(ids, dtype=np.int64)
-    if tau <= 0.0 or tau > 1.0:
+    if not (0.0 < tau <= 1.0):
         raise ValueError("tau must lie in (0, 1]")
     if scores.shape != ids.shape:
         raise ValueError("scores and ids must have equal length")

@@ -13,7 +13,11 @@ permutation family uses
 
 thresholded at the mean of h over the training split (the same threshold
 is reused for the test split); h is a symmetric sum, so labels are
-invariant under any coordinate permutation.
+invariant under any coordinate permutation.  The powers x_i**k are running
+products, one multiply per power, so h differs from a libm pow evaluation
+only by rounding, a few ulps.  For a very wide custom feature
+range an ulp of x_i**5 is no longer small against 2*pi; there sin(x_i**5),
+and so a label, depends on rounding under any formula.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LabeledDataset
+from .core import LabeledDataset, as_int
 
 GROUPS = ("orthogonal", "permutation")
 
@@ -51,6 +55,8 @@ class SyntheticSpec:
             raise ValueError(f"unknown group {self.group!r}")
         if self.d is None:
             object.__setattr__(self, "d", DEFAULT_DIM[self.group])
+        for name in ("d", "n_train", "n_test"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.feature_range is None:
             object.__setattr__(self, "feature_range", DEFAULT_RANGE[self.group])
         lo, hi = self.feature_range
@@ -60,6 +66,8 @@ class SyntheticSpec:
             raise ValueError("d and split sizes must be positive")
         # Sampling needs hi - lo, the l2norm map and the orthogonal h need x.x,
         # and the permutation h needs x_i^PERMUTATION_POWERS, finite in float64.
+        # math.prod is the labeler's own running product, and rounding is
+        # monotone, so no |x_i| <= top can overflow where top's product does not.
         top = max(abs(lo), abs(hi))
         if not math.isfinite(hi - lo):
             raise ValueError("feature range too wide: hi - lo overflows float64")
@@ -90,9 +98,15 @@ def _h_orthogonal(X: np.ndarray) -> np.ndarray:
 
 
 def _h_permutation(X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[0])
-    for k in range(1, PERMUTATION_POWERS + 1):
-        out += np.sin(X ** k).sum(axis=1)
+    # x^k as a running product, one multiply per power: numpy sends X ** k
+    # for k >= 3 through libm pow per element, about 100x slower.  x^k
+    # takes k - 1 roundings, so h differs from a pow evaluation only by
+    # rounding, a few ulps.
+    out = np.sin(X).sum(axis=1)
+    P = X.copy()
+    for _ in range(2, PERMUTATION_POWERS + 1):
+        P *= X
+        out += np.sin(P).sum(axis=1)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import io
 from .baselines import herding_select, random_scores
 from .core import (METHODS, REPRESENTATION_KINDS, LabeledDataset, Metrics,
-                   SelectionResult, rank_select, subset_accuracy, summarize_runs)
+                   SelectionResult, as_int, rank_select, subset_accuracy, summarize_runs)
 from .cutstats import CutstatsConfig, cutstats_scores
 from .datagen import NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
 from .knn import build_neighbor_table
@@ -69,7 +69,7 @@ class ExperimentConfig:
     invariance_target: Optional[float] = None   # perturb l2norm rep to this error
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(as_int(s, "each seed") for s in self.seeds))
         if (self.synthetic is None) == (self.train_path is None):
             raise ValueError("exactly one of synthetic spec and train_path is required")
         if self.representation_kind not in REPRESENTATION_KINDS:

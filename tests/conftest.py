@@ -107,6 +107,14 @@ def oracle_herding(X, mu, count):
     return np.asarray(picked, dtype=np.int64)
 
 
+def oracle_permutation_h(X, powers):
+    """The permutation family's h(x) = sum_{k=1..powers} sum_i sin(x_i**k),
+    with each power taken by ``X ** k`` (libm pow) rather than running products.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    return sum(np.sin(X ** k).sum(axis=1) for k in range(1, powers + 1))
+
+
 def oracle_zscores(reps, ids, labels, k, priors):
     """Straight-line transcription of the z-score formulas.
 

@@ -286,3 +286,5 @@ def test_rank_select_rejects_nonfinite_scores():
 def test_rank_select_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
         rank_select(np.zeros(2), np.arange(2), 0.0)
+    with pytest.raises(ValueError, match=r"tau must lie in \(0, 1\]"):
+        rank_select(np.zeros(2), np.arange(2), float("nan"))

@@ -6,7 +6,7 @@ import pytest
 from icut import (LabeledDataset, NoiseSpec, SyntheticSpec, generate_synthetic,
                   generating_function, inject_label_noise)
 from icut.datagen import DEFAULT_DIM, DEFAULT_RANGE, ORTHOGONAL_PARAMS, PERMUTATION_POWERS
-from conftest import apply_group_action, haar_rotation, random_dataset
+from conftest import apply_group_action, haar_rotation, oracle_permutation_h, random_dataset
 
 
 # --- spec construction -------------------------------------------------------
@@ -48,6 +48,22 @@ def test_spec_rejects_empty_splits():
         SyntheticSpec(group="orthogonal", d=0)      # None, not 0, means the group default
 
 
+@pytest.mark.parametrize("field,value", [
+    ("d", 2.5), ("n_train", 100.5), ("n_test", float("nan")), ("d", float("inf")), ("d", "5"),
+])
+def test_spec_rejects_non_integer_sizes(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SyntheticSpec(group="permutation", **{field: value})
+
+
+def test_spec_stores_integral_sizes_as_int():
+    spec = SyntheticSpec(group="permutation", d=np.int64(3), n_train=np.int32(40), n_test=20.0)
+    assert (spec.d, spec.n_train, spec.n_test) == (3, 40, 20)
+    assert all(type(v) is int for v in (spec.d, spec.n_train, spec.n_test))
+    train, test = generate_synthetic(spec, 0)
+    assert train.features.shape == (40, 3) and test.features.shape == (20, 3)
+
+
 # --- generating functions ----------------------------------------------------
 
 
@@ -65,8 +81,22 @@ def test_permutation_generator_matches_hand_formula():
     spec = SyntheticSpec(group="permutation", d=3)
     rng = np.random.default_rng(1)
     X = rng.uniform(-1.0, 1.0, size=(40, 3))
-    want = sum(np.sin(X ** k).sum(axis=1) for k in range(1, PERMUTATION_POWERS + 1))
+    want = oracle_permutation_h(X, PERMUTATION_POWERS)
     assert np.allclose(generating_function(spec, X), want, atol=1e-12)
+
+
+def test_permutation_labels_match_pow_oracle_labels():
+    # h from running products differs from the pow form by a few ulps; at the
+    # default spec no sample lies that close to the threshold, so the labels,
+    # and everything downstream, agree exactly
+    spec = SyntheticSpec(group="permutation")
+    for seed in range(20):
+        train, test = generate_synthetic(spec, seed)
+        h = oracle_permutation_h(np.vstack([train.features, test.features]),
+                                 PERMUTATION_POWERS)
+        y = (h >= h[: train.n].mean()).astype(np.int64)
+        assert np.array_equal(train.true_labels, y[: train.n]), seed
+        assert np.array_equal(test.true_labels, y[train.n :]), seed
 
 
 def test_orthogonal_generator_is_rotation_invariant():

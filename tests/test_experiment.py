@@ -47,6 +47,21 @@ def test_config_rejects_repeated_seeds():
         tiny_config(seeds=(0, 0))
 
 
+@pytest.mark.parametrize("seeds", [(0.5, 1.5), (0, 0.5), (float("nan"),), (float("inf"),)],
+                         ids=["fractions", "one_fraction", "nan", "inf"])
+def test_config_rejects_non_integer_seeds(seeds):
+    with pytest.raises(ValueError, match="each seed must be an integer"):
+        tiny_config(seeds=seeds)
+
+
+def test_config_keeps_integral_seeds():
+    # integral floats and numpy ints become ints; ints past int64 stay whole,
+    # and the generators mask them to 63 bits as before
+    cfg = tiny_config(seeds=(1.0, np.int64(2), 2**70 + 5))
+    assert cfg.seeds == (1, 2, 2**70 + 5)
+    assert all(type(s) is int for s in cfg.seeds)
+
+
 def test_config_rejects_negative_invariance_target():
     with pytest.raises(ValueError, match="target error must be non-negative"):
         tiny_config(invariance_target=-0.1)

@@ -1,6 +1,7 @@
 """The exact kernels against plain-scan oracles: same tables, same picks."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -346,6 +347,37 @@ def test_herding_ties_go_to_the_earliest_row(layout, n, d):
         X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
     mu = X.mean(axis=0)
     assert np.array_equal(kernels.herding_greedy(X, mu, 60), oracle_herding(X, mu, 60))
+
+
+def test_herding_grid_near_ties_pick_a_least_exact_objective():
+    # Grid rows at n = 301, d = 5 hold exact objectives an ulp apart (pick 21,
+    # rows 258 and 261), which the kernel's |x|^2 + 2 c.x and the oracle's
+    # running-mean form round into opposite orders.  So each pick is held
+    # to the exact objective instead, in the kernel's units:
+    # |x|^2 + 2 x.(S - (t+1) mu) over the untaken rows x, in rationals.
+    # The kernel rounds c = S - (t+1) mu (2 roundings), the d-term dot
+    # product and the final sum, so a row's computed score is within
+    # e = (d + 4) eps (|x|^2 + 2 |x|.(|S| + (t+1)|mu|)) of exact, and a pick
+    # exceeds the least exact score by at most 2 max e.  Among rows of
+    # equal exact score, the earliest must win.
+    n, d, count = 301, 5, 60
+    rng = np.random.default_rng(40 + d)
+    X = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    mu = X.mean(axis=0)
+    rows = X.astype(np.int64).tolist()
+    exact_mu = [Fraction(v) for v in mu.tolist()]
+    untaken = set(range(n))
+    S = np.zeros(d)
+    for t, j in enumerate(kernels.herding_greedy(X, mu, count).tolist()):
+        c = [int(s) - (t + 1) * m for s, m in zip(S.tolist(), exact_mu)]
+        score = {r: sum(x * x + 2 * x * ci for x, ci in zip(rows[r], c)) for r in untaken}
+        scale = np.abs(X) @ (np.abs(S) + (t + 1) * np.abs(mu))
+        err = (d + 4) * np.finfo(np.float64).eps * ((X * X).sum(axis=1) + 2 * scale).max()
+        assert j in untaken
+        assert score[j] - min(score.values()) <= 2 * err, t
+        assert all(score[r] != score[j] for r in untaken if r < j), t
+        untaken.remove(j)
+        S += X[j]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
