@@ -13,14 +13,13 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .core import SelectionResult, round_half_up
+from .core import SelectionResult, round_half_up, seeded_rng
 from .representation import RepresentedDataset
 
 
 def random_scores(n: int, seed: int) -> np.ndarray:
     """Uniform scores; ranking them draws round(tau*n) ids without replacement."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 29]))
-    return rng.random(n)
+    return seeded_rng(seed, 29).random(n)
 
 
 def _class_shares(labels: np.ndarray, num_classes: int, total: int) -> np.ndarray:

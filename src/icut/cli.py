@@ -118,7 +118,7 @@ def _read_dataset(path, **kw):
 
 
 def _class_count(v) -> dict:
-    """``--num-classes`` for the dataset reader; below 2 it is a usage error, as in ``NoiseSpec``."""
+    """``train --num-classes`` for the reader; below 2 it is a usage error, as in ``NoiseSpec``."""
     given = _given(v, "num_classes")
     if given.get("num_classes", 2) < 2:
         raise UsageError("need at least 2 classes")
@@ -167,10 +167,8 @@ def _cmd_represent(v) -> int:
 def _cmd_select(v) -> int:
     if "infile" not in v:
         raise UsageError("--in is required")
-    config = _cfg(ExperimentConfig, train_path=v["infile"], cutstats=_cfg(_cutstats_config, v),
-                  mlp=_cfg(_mlp_config, v),
-                  **_given(v, "method", representation_kind="kind", embedding_path="embedding"))
-    dataset = _read_dataset(v["infile"], **_class_count(v))
+    config = _cfg(_experiment_config, {**v, "train": v["infile"]})
+    dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
     sel, _ = select(config, dataset, **_given(v, "seed"))
 
     if "out_scores" in v:
@@ -300,19 +298,23 @@ def _add_synthetic_flags(p):
                    metavar=("LO", "HI"))
 
 
-def _add_exp_flags(p):
-    _add_synthetic_flags(p)
-    p.add_argument("--train", help="train dataset CSV (file source)")
-    p.add_argument("--test", help="test dataset CSV")
-    p.add_argument("--p", type=float, help="label flip probability")
+def _add_selector_flags(p):
     p.add_argument("--num-classes", type=int)
     p.add_argument("--kind", choices=REPRESENTATION_KINDS)
-    p.add_argument("--embedding")
+    p.add_argument("--embedding", help="embedding CSV (with --kind external)")
     p.add_argument("--method", choices=METHODS)
     p.add_argument("--k", type=int)
     p.add_argument("--tau", type=float)
     p.add_argument("--priors", type=_priors, help='"empirical" or comma floats')
     _add_mlp_flags(p)
+
+
+def _add_exp_flags(p):
+    _add_synthetic_flags(p)
+    p.add_argument("--train", help="train dataset CSV (file source)")
+    p.add_argument("--test", help="test dataset CSV (with --train)")
+    p.add_argument("--p", type=float, help="label flip probability")
+    _add_selector_flags(p)
     p.add_argument("--seed-list", type=_list_of(int), help="comma-separated seeds")
     p.add_argument("--out-dir")
     p.add_argument("--no-train", action="store_true")
@@ -357,14 +359,7 @@ def _parser() -> argparse.ArgumentParser:
     p = verb("select", "select a training subset")
     p.add_argument("--seed", type=int)
     p.add_argument("--in", dest="infile")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--kind", choices=REPRESENTATION_KINDS)
-    p.add_argument("--embedding")
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--priors", type=_priors)
-    p.add_argument("--num-classes", type=int)
-    _add_mlp_flags(p)
+    _add_selector_flags(p)
     p.add_argument("--out-scores")
     p.add_argument("--out-subset")
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,14 @@ def as_int(value, field: str) -> int:
     raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
+def seeded_rng(seed, stream: int) -> np.random.Generator:
+    """The generator of one seeded stage: each stage passes its own literal ``stream``
+    tag.  ``seed`` goes through ``as_int`` and keeps its low 63 bits, so -1 and
+    2**64 + 5 are seeds and 0.5 is a ``ValueError``."""
+    return np.random.default_rng(
+        np.random.SeedSequence([as_int(seed, "seed") & (2**63 - 1), stream]))
+
+
 def _int64(values, field: str) -> np.ndarray:
     """``values`` as int64; a value the cast would change raises ``ValueError``.
 
@@ -49,6 +57,13 @@ def _int64(values, field: str) -> np.ndarray:
     if not ok:
         raise ValueError(f"{field} must be integers within the int64 range")
     return a.astype(np.int64, copy=False)
+
+
+def id_positions(ids: np.ndarray, wanted: np.ndarray) -> Optional[np.ndarray]:
+    """Positions in ``ids`` (nonempty) of each of ``wanted``; None if one is missing."""
+    order = np.argsort(ids, kind="stable")
+    pos = order[np.minimum(np.searchsorted(ids, wanted, sorter=order), ids.size - 1)]
+    return pos if np.array_equal(ids[pos], wanted) else None
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,7 @@ class LabeledDataset:
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "noisy_labels", noisy)
         object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
         if self.true_labels is not None:
             object.__setattr__(self, "true_labels", _int64(self.true_labels, "true_labels"))
         n = feats.shape[0]
@@ -103,10 +119,8 @@ class LabeledDataset:
 
     def index_of(self, ids: np.ndarray) -> np.ndarray:
         """Positions of the given ids in dataset order."""
-        order = np.argsort(self.ids, kind="stable")
-        slot = np.minimum(np.searchsorted(self.ids, ids, sorter=order), self.n - 1)
-        pos = order[slot]
-        if not np.array_equal(self.ids[pos], ids):
+        pos = id_positions(self.ids, ids)
+        if pos is None:
             raise ValueError("unknown sample id")
         return pos
 
@@ -153,9 +167,6 @@ class Metrics:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{f.name} = {v} outside [0, 1]")
 
-    def with_values(self, **kw) -> "Metrics":
-        return replace(self, **kw)
-
 
 def subset_accuracy(selection: SelectionResult, dataset: LabeledDataset) -> float:
     """Fraction of selected samples whose noisy label equals the true label."""
@@ -167,9 +178,8 @@ def subset_accuracy(selection: SelectionResult, dataset: LabeledDataset) -> floa
     return float(np.mean(dataset.noisy_labels[pos] == dataset.true_labels[pos]))
 
 
-def balanced_error(predictions: Sequence[int], truth: Sequence[int],
-                   num_classes: Optional[int] = None) -> float:
-    """Macro-average of per-class miss rates.
+def balanced_error(predictions: Sequence[int], truth: Sequence[int]) -> float:
+    """Macro-average of per-class miss rates over the classes present in ``truth``.
 
     For binary labels this is the usual
     1/2 (P(pred=1 | y=0) + P(pred=0 | y=1)).
@@ -178,16 +188,10 @@ def balanced_error(predictions: Sequence[int], truth: Sequence[int],
     true = np.asarray(truth, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1:
         raise ValueError("predictions and truth must be equal-length 1-D sequences")
-    classes = np.arange(num_classes) if num_classes is not None else np.unique(true)
+    classes = np.unique(true)
     if classes.size < 2:
         raise ValueError("class-conditional rate undefined")
-    rates = []
-    for c in classes:
-        mask = true == c
-        if not mask.any():
-            raise ValueError("class-conditional rate undefined")
-        rates.append(float(np.mean(pred[mask] != c)))
-    return float(np.mean(rates))
+    return float(np.mean([np.mean(pred[true == c] != c) for c in classes]))
 
 
 def summarize_runs(metrics: Sequence[Metrics]) -> dict:

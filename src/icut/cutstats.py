@@ -20,6 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .core import as_int
 from .knn import NeighborTable
 from .representation import RepresentedDataset
 
@@ -31,6 +32,7 @@ class CutstatsConfig:
     priors: Union[str, Sequence[float]] = "empirical"
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.k < 1:
             raise ValueError("k must be positive")
         if not (0.0 < self.tau <= 1.0):

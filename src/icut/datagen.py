@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LabeledDataset, as_int
+from .core import LabeledDataset, as_int, seeded_rng
 
 GROUPS = ("orthogonal", "permutation")
 
@@ -85,6 +85,7 @@ class NoiseSpec:
     num_classes: int = 2
 
     def __post_init__(self):
+        object.__setattr__(self, "num_classes", as_int(self.num_classes, "num_classes"))
         if not (0.0 <= self.flip_probability <= 1.0):
             raise ValueError("flip probability must lie in [0, 1]")
         if self.num_classes < 2:
@@ -125,7 +126,7 @@ def generate_synthetic(spec: SyntheticSpec,
     Both splits are labeled by one function: the orthogonal threshold is
     zero, the permutation threshold is the train-split mean of h.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 11]))
+    rng = seeded_rng(seed, 11)
     lo, hi = spec.feature_range
     total = spec.n_train + spec.n_test
     X = rng.uniform(lo, hi, size=(total, spec.d))
@@ -156,7 +157,7 @@ def inject_label_noise(dataset: LabeledDataset, noise: NoiseSpec,
     C = noise.num_classes
     if dataset.num_classes > C:
         raise ValueError("noise spec covers fewer classes than the dataset")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 13]))
+    rng = seeded_rng(seed, 13)
     n = dataset.n
     flips = rng.random(n) < noise.flip_probability
     offsets = rng.integers(1, C, size=n)

@@ -74,8 +74,12 @@ class ExperimentConfig:
             raise ValueError("exactly one of synthetic spec and train_path is required")
         if self.representation_kind not in REPRESENTATION_KINDS:
             raise ValueError(f"unknown representation kind {self.representation_kind!r}")
+        if self.test_path is not None and self.train_path is None:
+            raise ValueError("a test path needs a train path (file source)")
         if self.representation_kind == "external" and self.embedding_path is None:
             raise ValueError("external representation requires an embedding path")
+        if self.embedding_path is not None and self.representation_kind != "external":
+            raise ValueError("an embedding path needs the external representation")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if len(self.seeds) == 0:
@@ -160,22 +164,23 @@ def run_seed(config: ExperimentConfig, seed: int, data=None, memo=None, width=No
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:
-        metrics = metrics.with_values(
-            subset_accuracy=_staged("select", subset_accuracy, selection, noisy))
+        metrics = replace(
+            metrics, subset_accuracy=_staged("select", subset_accuracy, selection, noisy))
         if noisy.num_classes == 2:
             ones = sub.noisy_labels == 1
             zeros = ~ones
-            metrics = metrics.with_values(
+            metrics = replace(
+                metrics,
                 alpha_hat=float(np.mean(sub.true_labels[ones] == 0)) if ones.any() else 0.0,
                 gamma_hat=float(np.mean(sub.true_labels[zeros] == 1)) if zeros.any() else 0.0)
         else:
-            metrics = metrics.with_values(alpha_hat=1.0 - metrics.subset_accuracy,
-                                          gamma_hat=1.0 - metrics.subset_accuracy)
+            metrics = replace(metrics, alpha_hat=1.0 - metrics.subset_accuracy,
+                              gamma_hat=1.0 - metrics.subset_accuracy)
     if test is not None and config.train_downstream:
         model = _staged("train", train_mlp, sub, config.mlp, seed)
         scored = _staged("evaluate", evaluate, model, test)
-        metrics = metrics.with_values(classifier_accuracy=scored.classifier_accuracy,
-                                      balanced_error=scored.balanced_error)
+        metrics = replace(metrics, classifier_accuracy=scored.classifier_accuracy,
+                          balanced_error=scored.balanced_error)
     return metrics, {"realized_error": realized}
 
 
@@ -228,17 +233,14 @@ def ablation_configs(kind: str, config: ExperimentConfig, grid: Sequence) -> lis
     """One checked config per grid point, so a bad point fails before any point runs."""
     if len(grid) == 0:
         raise ValueError("empty ablation grid")
-    fractional = [p for p in grid if not float(p).is_integer()]
-    if kind in ("dimension_sweep", "k_sweep") and fractional:
-        raise ValueError(f"{kind} grid points must be integers, got {fractional[0]!r}")
     if kind == "invariance_error":
         return [replace(config, invariance_target=float(p)) for p in grid]
     if kind == "dimension_sweep":
         if config.synthetic is None:
             raise ValueError("dimension sweep requires a synthetic source")
-        return [replace(config, synthetic=replace(config.synthetic, d=int(p))) for p in grid]
+        return [replace(config, synthetic=replace(config.synthetic, d=p)) for p in grid]
     if kind == "k_sweep":
-        return [replace(config, cutstats=replace(config.cutstats, k=int(p))) for p in grid]
+        return [replace(config, cutstats=replace(config.cutstats, k=p)) for p in grid]
     if kind == "tau_sweep":
         return [replace(config, cutstats=replace(config.cutstats, tau=float(p))) for p in grid]
     raise ValueError(f"unknown ablation kind {kind!r}")

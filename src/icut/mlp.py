@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LabeledDataset, Metrics, balanced_error
+from .core import LabeledDataset, Metrics, as_int, balanced_error, seeded_rng
 from .io import unlink_on_failure
 
 ADAM_BETA1 = 0.9
@@ -42,6 +42,8 @@ class MlpConfig:
     learning_rate: float = 1e-2
 
     def __post_init__(self):
+        for name in ("hidden_units", "epochs", "batch_size"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if min(self.hidden_units, self.epochs, self.batch_size) < 1:
             raise ValueError("all MLP config counts must be positive")
         if not 0.0 < self.learning_rate < math.inf:
@@ -167,7 +169,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
     y = train.noisy_labels
     C = train.num_classes
     out_units = 1 if C == 2 else C
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 23]))
+    rng = seeded_rng(seed, 23)
     init = init_params(train.d, config.hidden_units, out_units, rng)
     flat = np.concatenate([p.ravel() for p in init])
     g, m, v, s, u = (np.zeros_like(flat) for _ in range(5))

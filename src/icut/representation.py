@@ -17,7 +17,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import LabeledDataset, REPRESENTATION_KINDS
+from .core import LabeledDataset, REPRESENTATION_KINDS, id_positions, seeded_rng
 from .kernels import OVERFLOW
 
 # Relative band around the target that the realized error must fall in.
@@ -79,9 +79,8 @@ def load_external_representation(dataset: LabeledDataset, path) -> RepresentedDa
         )
     # The file row of each dataset id.  Dataset ids are unique and the counts
     # match, so finding every one of them makes the file's ids the same set.
-    order = np.argsort(ids, kind="stable")
-    lookup = order[np.minimum(np.searchsorted(ids, dataset.ids, sorter=order), dataset.n - 1)]
-    if not np.array_equal(ids[lookup], dataset.ids):
+    lookup = id_positions(ids, dataset.ids)
+    if lookup is None:
         raise ValueError("id mismatch between embedding file and dataset")
     if not np.all(np.isfinite(reps)):
         raise ValueError("non-finite embedding value")
@@ -106,13 +105,13 @@ def perturb_representation(rep: RepresentedDataset, target_error: float,
         raise ValueError("perturbation is defined for the l2norm representation")
     if not 0.0 <= target_error < math.inf:
         raise ValueError("target error must be non-negative")
+    rng = seeded_rng(seed, 19)
     if target_error == 0.0:
         return rep, 0.0
     values = rep.representations
     if not np.all(np.isfinite(values)):
         raise ValueError(OVERFLOW)
 
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 19]))
     u1 = rng.standard_normal(values.shape)
     u2 = rng.standard_normal(values.shape)
     sigma = target_error / float(np.mean(np.abs(u1 - u2)))

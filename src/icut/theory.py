@@ -15,6 +15,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import as_int, seeded_rng
+
 WINDOW_MODES = ("plain", "orthogonal", "permutation")
 
 
@@ -196,7 +198,7 @@ def validate_prop1_monte_carlo(alpha: float, gamma: float,
     b = gamma * (1.0 - 2.0 * alpha) / denom    # P(noisy=0 | y=1)
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ValueError("alpha/gamma pair has no balanced-prior channel")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 31]))
+    rng = seeded_rng(seed, 31)
     y = rng.random(trials) < 0.5
     flip = rng.random(trials)
     noisy = np.where(y, flip >= b, flip < a)
@@ -252,7 +254,7 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
     p_cell = factor / bins**d
     if trials * p_cell < 25.0:
         raise ValueError("bins too fine for trials")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), 37]))
+    rng = seeded_rng(seed, 37)
     x = np.sort(rng.random((trials, d)), axis=1)
     idx = np.minimum((x * bins).astype(np.int64), bins - 1)
     flat = np.zeros(bins**d, dtype=np.int64)
@@ -282,19 +284,19 @@ def theory_checks(trials: int = 10**6, tuples: int = 20, seed: int = 0):
 
     The propagation formula at the worked point and on ``tuples`` random
     tuples, the corollary on its boundary and over a grid, and the sorted
-    density factor at d = 2 and 3.  Bad counts raise here, before any check runs.
+    density factor at d = 2 and 3.  Bad counts or seeds raise here, before any check runs.
     """
     if tuples < 1:
         raise ValueError("tuples must be positive")
     _check_prop1_trials(trials)
-    return _run_checks(trials, tuples, seed)
+    return _run_checks(trials, tuples, as_int(seed, "seed"))
 
 
 def _run_checks(trials: int, tuples: int, seed: int):
     report = validate_prop1_monte_carlo(0.45, 0.45, 0.74, 0.74, trials=trials, seed=seed)
     yield ("propagation worked point 0.45/0.45/0.74/0.74", report.within(3.0),
            f"predicted {report.alpha_s_pred:.4f} empirical {report.alpha_s_emp:.4f}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**63 - 1), 41]))
+    rng = seeded_rng(seed, 41)
     ok_all = True
     for i in range(tuples):
         alpha, gamma = rng.uniform(0.05, 0.45, size=2)

@@ -39,6 +39,13 @@ def random_dataset(n, d, num_classes=2, seed=0, with_truth=True, shuffle_ids=Fal
     )
 
 
+def legacy_rng(seed, stream):
+    """A seeded stage's generator built by hand: ``int(seed)``, its low 63 bits,
+    paired with the stage's tag.  ``core.seeded_rng`` must match it for every
+    integral seed."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), stream]))
+
+
 def read_lines(path):
     """The lines of a file the library wrote, without their "\\n" ends."""
     with open(path, "r", newline="") as f:

@@ -147,14 +147,15 @@ def test_select_cli_matches_library_selector(capsys, workdir, tmp_path, method, 
     write_embedding_csv(dataset.ids, dataset.features[:, :3] ** 2, embedding)
     scores_path = tmp_path / "scores.csv"
     subset_path = tmp_path / "subset.txt"
+    external = ["--embedding", str(embedding)] if kind == "external" else []
     code, _, _ = run_cli(capsys, "select", "--in", str(noisy), "--method", method,
-                         "--kind", kind, "--embedding", str(embedding),
+                         "--kind", kind, *external,
                          "--k", "5", "--tau", "0.5", "--seed", "3", "--epochs", "2",
                          "--batch-size", "32", "--out-scores", str(scores_path),
                          "--out-subset", str(subset_path))
     assert code == 0
-    config = ExperimentConfig(train_path=str(noisy), method=method,
-                              representation_kind=kind, embedding_path=str(embedding),
+    config = ExperimentConfig(train_path=str(noisy), method=method, representation_kind=kind,
+                              embedding_path=str(embedding) if external else None,
                               cutstats=CutstatsConfig(k=5, tau=0.5),
                               mlp=MlpConfig(epochs=2, batch_size=32), seeds=(3,))
     expected, _ = select(config, dataset, 3)
@@ -444,6 +445,24 @@ def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
     (["--method", "random", "--target-error", "0.1"], "needs a representation-based method"),
 ], ids=["negative", "nan", "inf", "identity_kind", "random_method"])
 def test_exp_bad_target_error_is_a_usage_error_before_data_generation(
+        capsys, tmp_path, monkeypatch, argv, message):
+    def no_generation(*args, **kw):
+        raise AssertionError("data was generated")
+    monkeypatch.setattr("icut.experiment.generate_synthetic", no_generation)
+    code, _, err = run_cli(capsys, "exp", "--group", "orthogonal", "--d", "6",
+                           "--n-train", "120", "--n-test", "60", "--seed-list", "0",
+                           "--out-dir", str(tmp_path), *argv)
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--test", "/nonexistent/test.csv"], "a test path needs a train path"),
+    (["--kind", "l2norm", "--embedding", "/nonexistent/emb.csv"],
+     "an embedding path needs the external representation"),
+], ids=["test_without_train", "embedding_without_external"])
+def test_exp_ignored_path_is_a_usage_error_before_data_generation(
         capsys, tmp_path, monkeypatch, argv, message):
     def no_generation(*args, **kw):
         raise AssertionError("data was generated")

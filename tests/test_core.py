@@ -1,11 +1,67 @@
 """Domain types, metrics, and the shared ranking rule."""
 
+import math
+import re
+import types
+
 import numpy as np
 import pytest
 
-from icut import (LabeledDataset, Metrics, SelectionResult, balanced_error,
-                  rank_select, round_half_up, subset_accuracy, summarize_runs)
-from conftest import random_dataset
+from icut import baselines, datagen, mlp, representation, theory
+from icut import (LabeledDataset, Metrics, MlpConfig, NoiseSpec, SelectionResult,
+                  SyntheticSpec, balanced_error, check_sorted_density, compute_representation,
+                  generate_synthetic, inject_label_noise, perturb_representation,
+                  random_scores, rank_select, round_half_up, subset_accuracy, summarize_runs,
+                  train_mlp, validate_prop1_monte_carlo)
+from icut.core import seeded_rng
+from icut.theory import theory_checks
+from conftest import legacy_rng, random_dataset
+
+
+# --- seeded_rng --------------------------------------------------------------
+
+SMALL = random_dataset(40, 3, seed=4)
+
+# (module whose seeded_rng the stage calls, the stage's stream tag, one call at a seed)
+SEEDED_ENTRY_POINTS = {
+    "generate_synthetic": (datagen, 11, lambda s: generate_synthetic(
+        SyntheticSpec("orthogonal", d=3, n_train=20, n_test=10), s)),
+    "inject_label_noise": (datagen, 13, lambda s: inject_label_noise(SMALL, NoiseSpec(0.3), s)),
+    "perturb_representation": (representation, 19, lambda s: perturb_representation(
+        compute_representation(SMALL, "l2norm"), 0.1, s)),
+    "train_mlp": (mlp, 23, lambda s: train_mlp(
+        SMALL, MlpConfig(hidden_units=4, epochs=1, batch_size=16), s)),
+    "random_scores": (baselines, 29, lambda s: random_scores(10, s)),
+    "validate_prop1_monte_carlo": (theory, 31, lambda s: validate_prop1_monte_carlo(
+        0.3, 0.2, 0.7, 0.7, trials=10**4, seed=s)),
+    "check_sorted_density": (theory, 37, lambda s: check_sorted_density(2, 10**5, seed=s)),
+    "theory_checks": (theory, 41, lambda s: theory_checks(trials=10**4, tuples=1, seed=s)),
+}
+
+
+@pytest.mark.parametrize("name", list(SEEDED_ENTRY_POINTS))
+def test_seeded_entry_points_refuse_non_integral_seeds_and_keep_their_streams(
+        monkeypatch, name):
+    module, stream, call = SEEDED_ENTRY_POINTS[name]
+    for bad in (0.5, math.nan, math.inf, "1"):
+        # theory_checks refuses at the call, before its first check runs
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {bad!r}")):
+            call(bad)
+    states = []
+
+    def spy(seed, tag):
+        rng = seeded_rng(seed, tag)
+        if tag == stream:
+            states.append(rng.bit_generator.state)
+        return rng
+
+    monkeypatch.setattr(module, "seeded_rng", spy)
+    for seed in (0, 3, -1, 2**64 + 5, np.int64(7), 7.0):
+        states.clear()
+        result = call(seed)
+        if isinstance(result, types.GeneratorType):
+            list(result)
+        assert states[0] == legacy_rng(seed, stream).bit_generator.state, seed
 
 
 # --- round_half_up -----------------------------------------------------------
@@ -97,6 +153,13 @@ def test_dataset_rejects_too_few_classes():
                        num_classes=1, ids=np.arange(2))
 
 
+@pytest.mark.parametrize("count", [2.5, np.nan, "2"])
+def test_dataset_rejects_non_integer_class_count(count):
+    with pytest.raises(ValueError, match="^num_classes must be an integer"):
+        LabeledDataset(features=np.zeros((2, 2)), noisy_labels=np.zeros(2, dtype=int),
+                       num_classes=count, ids=np.arange(2))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_nonfinite_features(bad):
     feats = np.zeros((3, 2))
@@ -137,12 +200,6 @@ def test_metrics_rejects_out_of_range_values():
         Metrics(classifier_accuracy=1.2)
     with pytest.raises(ValueError, match="outside"):
         Metrics(balanced_error=-0.1)
-
-
-def test_metrics_with_values_replaces_fields():
-    m = Metrics().with_values(subset_accuracy=0.75)
-    assert m.subset_accuracy == 0.75
-    assert m.classifier_accuracy == 0.0
 
 
 # --- subset_accuracy ---------------------------------------------------------
@@ -217,7 +274,7 @@ def test_balanced_error_undefined_without_both_classes():
     with pytest.raises(ValueError, match="undefined"):
         balanced_error([0, 0], [0, 0])
     with pytest.raises(ValueError, match="undefined"):
-        balanced_error([0, 1], [0, 0], num_classes=2)
+        balanced_error([0, 1], [0, 0])
 
 
 # --- summarize_runs ----------------------------------------------------------

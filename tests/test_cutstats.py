@@ -29,6 +29,17 @@ def test_config_validation():
         CutstatsConfig(priors="uniform")
 
 
+@pytest.mark.parametrize("k", [2.5, float("nan"), "5"])
+def test_config_rejects_non_integer_k(k):
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        CutstatsConfig(k=k)
+
+
+def test_config_stores_integral_k_as_int():
+    assert type(CutstatsConfig(k=np.int64(5)).k) is int
+    assert CutstatsConfig(k=5.0).k == 5
+
+
 def test_empirical_priors_are_label_frequencies():
     labels = np.array([0, 0, 0, 1])
     priors = class_priors(labels, 2, CutstatsConfig())

@@ -272,6 +272,12 @@ def test_noise_spec_validation():
         NoiseSpec(0.5, num_classes=1)
 
 
+@pytest.mark.parametrize("count", [2.5, float("nan"), "3"])
+def test_noise_spec_rejects_non_integer_class_count(count):
+    with pytest.raises(ValueError, match="^num_classes must be an integer"):
+        NoiseSpec(0.1, num_classes=count)
+
+
 def test_noise_rejects_narrower_class_count_than_data():
     ds = random_dataset(20, 2, num_classes=3, seed=6)
     with pytest.raises(ValueError, match="fewer classes"):

@@ -37,6 +37,13 @@ def test_config_external_needs_embedding_path():
         tiny_config(representation_kind="external")
 
 
+def test_config_refuses_paths_it_would_ignore():
+    with pytest.raises(ValueError, match="a test path needs a train path"):
+        tiny_config(test_path="test.csv")
+    with pytest.raises(ValueError, match="an embedding path needs the external representation"):
+        tiny_config(embedding_path="emb.csv")
+
+
 def test_config_rejects_empty_seeds():
     with pytest.raises(ValueError, match="seeds"):
         tiny_config(seeds=())
@@ -241,7 +248,8 @@ def test_run_ablation_rejects_bad_inputs(tmp_path):
 @pytest.mark.parametrize("kind", ["k_sweep", "dimension_sweep"])
 def test_run_ablation_rejects_fractional_points(tmp_path, kind):
     cfg = tiny_config(output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match=f"{kind} grid points must be integers, got 2.5"):
+    field = "k" if kind == "k_sweep" else "d"
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got 2.5"):
         run_ablation(kind, cfg, [2.5, 2])
     assert list(tmp_path.iterdir()) == []
     configs = experiment.ablation_configs(kind, cfg, [np.int64(4), 3.0])

@@ -62,6 +62,19 @@ def test_gradient_check_multiclass():
 # --- training ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field", ["hidden_units", "epochs", "batch_size"])
+@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf")])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        MlpConfig(**{field: value})
+
+
+def test_config_stores_integral_counts_as_int():
+    cfg = MlpConfig(hidden_units=np.int64(4), epochs=2.0, batch_size=np.int32(8))
+    assert (cfg.hidden_units, cfg.epochs, cfg.batch_size) == (4, 2, 8)
+    assert all(type(v) is int for v in (cfg.hidden_units, cfg.epochs, cfg.batch_size))
+
+
 def test_separable_blobs_reach_high_training_accuracy():
     ds = _blobs()
     model = train_mlp(ds, MlpConfig(hidden_units=8, epochs=20, batch_size=64), trace=True)
