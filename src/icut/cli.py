@@ -260,12 +260,23 @@ def _cmd_ablate(v) -> int:
         raise UsageError(f"unknown ablation kind {kind!r}")
     if "grid" not in v:
         raise UsageError("empty ablation grid")
-    point = int if kind in ("dimension_sweep", "k_sweep") else float
-    grid = _cfg(_list_of(point), v["grid"])
+    grid = _grid(kind, v["grid"])
     config = _cfg(_experiment_config, v)
     _cfg(ablation_configs, kind, config, grid)      # a bad point is a usage error up front
     _print_report(run_ablation(kind, config, grid))
     return 0
+
+
+def _grid(kind, text):
+    """The ``--grid`` points of ``kind``: integers for the count sweeps, floats otherwise."""
+    counts = kind in ("dimension_sweep", "k_sweep")
+    point, noun = (int, "integers") if counts else (float, "numbers")
+    for token in re.split("[,:]" if point is int else ",", text):
+        try:
+            point(token)
+        except ValueError:
+            raise UsageError(f"--grid: {kind} points must be {noun}, got {token!r}") from None
+    return _cfg(_list_of(point), text)
 
 
 # --------------------------------------------------------- validate-theory

@@ -13,6 +13,15 @@ Adam moments are views of flat buffers, so each Adam operation is one
 elementwise call per step over every parameter.  Elementwise results do
 not depend on how the elements are grouped, so this trains the same
 parameters, bit for bit, as one update per parameter array.
+
+The bias gradients are column sums over the batch.  With two or more
+columns (``b1`` above one hidden unit, and ``b2`` for more than two
+classes) ``np.einsum`` sums them: like numpy's reduce over a row-major
+array it adds row after row, so the sums are equal, and it is 2-3x
+faster.  A single column (binary ``b2``, or ``b1`` at one hidden unit)
+stays on ``np.add.reduce``, which sums one contiguous column pairwise,
+an order einsum does not follow.  The binary output layer's ``dH`` is an
+einsum outer product, one rounding per entry as the broadcast multiply.
 """
 
 from __future__ import annotations
@@ -118,7 +127,7 @@ def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.n
     if num_classes == 2:
         probs = _sigmoid(Z2[:, 0])
         dZ2 = ((probs - y) / B)[:, None]
-        dH = dZ2 * W2.T        # a k = 1 product: one multiplication per entry
+        dH = np.einsum("i,j->ij", dZ2[:, 0], W2[:, 0])   # outer product: one rounding per entry
     else:
         probs = _softmax(Z2)
         dZ2 = probs.copy()
@@ -126,11 +135,25 @@ def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.n
         dZ2 /= B
         dH = dZ2 @ W2.T
     np.matmul(H.T, dZ2, out=gW2)
-    np.add.reduce(dZ2, axis=0, out=gb2)
+    _column_sums(dZ2, gb2)
     dH *= H > 0
     np.matmul(X.T, dH, out=gW1)
-    np.add.reduce(dH, axis=0, out=gb1)
+    _column_sums(dH, gb1)
     return probs
+
+
+def _column_sums(A: np.ndarray, out: np.ndarray) -> None:
+    """``np.add.reduce(A, axis=0, out=out)`` for a C-contiguous ``A``, value for value.
+
+    Over two or more columns, both einsum and numpy's reduce add the rows
+    one by one into ``out``, and einsum's loop is 2-3x faster.  A single
+    column is contiguous, so numpy reduces it with its pairwise sum, which
+    einsum does not use: that case stays on ``np.add.reduce``.
+    """
+    if A.shape[1] > 1:
+        np.einsum("ij->j", A, out=out)
+    else:
+        np.add.reduce(A, axis=0, out=out)
 
 
 def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
@@ -181,7 +204,7 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
         model.trace = np.zeros((config.epochs, train.n), dtype=bool)
     for epoch in range(config.epochs):
         order = rng.permutation(train.n)
-        Xo, yo = X[order], y[order]
+        Xo, yo = X.take(order, axis=0), y.take(order)
         for start in range(0, train.n, config.batch_size):
             stop = start + config.batch_size
             _step(params, Xo[start:stop], yo[start:stop], C, grads)

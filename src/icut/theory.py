@@ -175,9 +175,11 @@ class Prop1Report:
                 and self.gamma_dev <= n_sigma * self.gamma_sigma + 1e-15)
 
 
-def _check_prop1_trials(trials: int) -> None:
+def _prop1_trials(trials) -> int:
+    trials = as_int(trials, "trials")
     if trials < 10**4:
         raise ValueError("trials must be at least 10^4")
+    return trials
 
 
 def validate_prop1_monte_carlo(alpha: float, gamma: float,
@@ -190,7 +192,7 @@ def validate_prop1_monte_carlo(alpha: float, gamma: float,
     them are a = alpha(1-2*gamma)/(1-alpha-gamma) and the mirror image.
     Requires alpha + gamma < 1 so those channels exist.
     """
-    _check_prop1_trials(trials)
+    trials = _prop1_trials(trials)
     if alpha + gamma >= 1.0:
         raise ValueError("alpha + gamma must be below 1")
     denom = 1.0 - alpha - gamma
@@ -246,10 +248,13 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
     diagonal cuts through are skipped); each tested cell must sit within
     4 binomial sigmas of d! times the uniform mass.
     """
+    d, trials, bins = as_int(d, "d"), as_int(trials, "trials"), as_int(bins, "bins")
     if d not in (1, 2, 3):
         raise ValueError("d must be 1, 2, or 3")
     if trials < 10**5:
         raise ValueError("trials must be at least 10^5")
+    if bins < 1:
+        raise ValueError("bins must be positive")
     factor = float(math.factorial(d))
     p_cell = factor / bins**d
     if trials * p_cell < 25.0:
@@ -286,10 +291,10 @@ def theory_checks(trials: int = 10**6, tuples: int = 20, seed: int = 0):
     tuples, the corollary on its boundary and over a grid, and the sorted
     density factor at d = 2 and 3.  Bad counts or seeds raise here, before any check runs.
     """
+    tuples = as_int(tuples, "tuples")
     if tuples < 1:
         raise ValueError("tuples must be positive")
-    _check_prop1_trials(trials)
-    return _run_checks(trials, tuples, as_int(seed, "seed"))
+    return _run_checks(_prop1_trials(trials), tuples, as_int(seed, "seed"))
 
 
 def _run_checks(trials: int, tuples: int, seed: int):

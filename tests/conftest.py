@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from icut import LabeledDataset
+from icut import LabeledDataset, TrainedClassifier
 
 # Lines appended by the acceptance tests; printed after the run so the
 # per-criterion verdicts are visible in the terminal output.
@@ -44,6 +44,59 @@ def legacy_rng(seed, stream):
     paired with the stage's tag.  ``core.seeded_rng`` must match it for every
     integral seed."""
     return np.random.default_rng(np.random.SeedSequence([int(seed) & (2**63 - 1), stream]))
+
+
+def reference_train_mlp(train, config, seed=0, trace=False):
+    """The straightforward trainer that ``train_mlp`` must match bit for bit.
+
+    Each epoch gathers its order by fancy indexing; each step computes its
+    gradients out of place, with ``np.sum(axis=0)`` bias gradients, and
+    updates each parameter array by its own out-of-place Adam step.  A
+    traced run records ``model.predict(X) == y`` after every epoch.
+    """
+    X, y, C = train.features, train.noisy_labels, train.num_classes
+    d, hidden, out = X.shape[1], config.hidden_units, 1 if C == 2 else C
+    rng = legacy_rng(seed, 23)
+    s1, s2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(hidden)
+    params = [rng.uniform(-s1, s1, size=(d, hidden)), rng.uniform(-s1, s1, size=hidden),
+              rng.uniform(-s2, s2, size=(hidden, out)), rng.uniform(-s2, s2, size=out)]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rows = []
+    t = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(train.n)
+        Xo, yo = X[order], y[order]
+        for start in range(0, train.n, config.batch_size):
+            Xb, yb = Xo[start:start + config.batch_size], yo[start:start + config.batch_size]
+            W1, b1, W2, b2 = params
+            B = Xb.shape[0]
+            H = np.maximum(Xb @ W1 + b1, 0.0)
+            Z = H @ W2 + b2
+            if C == 2:
+                z = Z[:, 0]
+                ez = np.exp(-np.abs(z))
+                p1 = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+                dZ = ((p1 - yb) / B)[:, None]
+                dH = dZ * W2.T
+            else:
+                E = np.exp(Z - Z.max(axis=1, keepdims=True))
+                dZ = E / E.sum(axis=1, keepdims=True)
+                dZ[np.arange(B), yb] -= 1.0
+                dZ = dZ / B
+                dH = dZ @ W2.T
+            dH = dH * (H > 0)
+            grads = [Xb.T @ dH, np.sum(dH, axis=0), H.T @ dZ, np.sum(dZ, axis=0)]
+            t += 1
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for i, g in enumerate(grads):
+                m[i] = 0.9 * m[i] + (1.0 - 0.9) * g
+                v[i] = 0.999 * v[i] + (1.0 - 0.999) * g * g
+                step = config.learning_rate * (m[i] / c1) / (np.sqrt(v[i] / c2) + 1e-8)
+                params[i] = params[i] - step
+        if trace:
+            rows.append(TrainedClassifier(*params, num_classes=C).predict(X) == y)
+    return TrainedClassifier(*params, num_classes=C, trace=np.array(rows) if trace else None)
 
 
 def read_lines(path):

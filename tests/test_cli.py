@@ -411,6 +411,15 @@ def test_ablate_requires_kind(capsys):
 BAD_GRIDS = {
     "dimension_sweep_on_a_file": (["dimension_sweep", "--grid", "4"], "synthetic source"),
     "k_sweep_with_zero": (["k_sweep", "--grid", "3,0"], "k must be positive"),
+    "k_sweep_with_fraction": (["k_sweep", "--grid", "2.5,3"],
+                              "error: --grid: k_sweep points must be integers, got '2.5'"),
+    "dimension_sweep_with_fraction": (["dimension_sweep", "--grid", "6,8.5"],
+                                      "error: --grid: dimension_sweep points must be integers, "
+                                      "got '8.5'"),
+    "k_sweep_range_with_word": (["k_sweep", "--grid", "3:x"],
+                                "error: --grid: k_sweep points must be integers, got 'x'"),
+    "tau_sweep_with_word": (["tau_sweep", "--grid", "0.4,abc"],
+                            "error: --grid: tau_sweep points must be numbers, got 'abc'"),
     "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
     "invariance_error_with_negative": (["invariance_error", "--grid", "0.1,-0.1"],
                                        "target error must be non-negative"),

@@ -8,8 +8,8 @@ import pytest
 from icut import (LabeledDataset, MlpConfig, TrainedClassifier, entropy_scores,
                   evaluate, forgetting_counts, load_classifier, save_classifier,
                   train_mlp)
-from icut.mlp import init_params, loss_and_grads
-from conftest import random_dataset
+from icut.mlp import _column_sums, init_params, loss_and_grads
+from conftest import random_dataset, reference_train_mlp
 
 
 def _blobs(n_per=100, seed=0, spread=0.3):
@@ -147,6 +147,35 @@ def test_trained_parameters_are_pinned_bit_for_bit(num_classes, seed, traced, di
     if traced:
         h.update(np.packbits(model.trace).tobytes())
     assert h.hexdigest() == digest
+
+
+# 61 rows: batches of 20 leave a single-row last batch, batches of 16 one of 13.
+@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("batch_size", [20, 16])
+@pytest.mark.parametrize("hidden_units", [1, 2, 8])
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_training_matches_the_reference_trainer_bit_for_bit(num_classes, hidden_units,
+                                                             batch_size, traced):
+    ds = random_dataset(61, 4, num_classes=num_classes, seed=20 + num_classes)
+    config = MlpConfig(hidden_units=hidden_units, epochs=4, batch_size=batch_size)
+    model = train_mlp(ds, config, seed=hidden_units, trace=traced)
+    ref = reference_train_mlp(ds, config, seed=hidden_units, trace=traced)
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(model, name).tobytes() == getattr(ref, name).tobytes(), name
+    if traced:
+        assert np.array_equal(model.trace, ref.trace)
+    else:
+        assert model.trace is None and ref.trace is None
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3, 32, 33])
+@pytest.mark.parametrize("rows", [1, 2, 7, 544, 1024])
+def test_column_sums_equal_numpy_reduce_value_for_value(rows, columns):
+    rng = np.random.default_rng(rows * 100 + columns)
+    A = rng.normal(size=(rows, columns)) * 10.0 ** rng.integers(-8, 9, size=(rows, columns))
+    out = np.empty(columns)
+    _column_sums(A, out)
+    assert out.tobytes() == np.add.reduce(A, axis=0).tobytes()
 
 
 def test_softmax_probabilities_sum_to_one():

@@ -256,3 +256,28 @@ def test_theory_checks_reject_bad_counts_before_any_check_runs():
         theory_checks(tuples=0)
     with pytest.raises(ValueError, match="trials must be at least 10\\^4"):
         theory_checks(trials=9999)
+
+
+def test_theory_checks_refuse_a_fractional_tuple_count_at_the_call():
+    with pytest.raises(ValueError, match="^tuples must be an integer, got 2.5"):
+        theory_checks(trials=10**4, tuples=2.5)
+
+
+def test_prop1_takes_an_integral_float_trial_count():
+    assert (validate_prop1_monte_carlo(0.3, 0.3, 0.7, 0.7, trials=1e4)
+            == validate_prop1_monte_carlo(0.3, 0.3, 0.7, 0.7, trials=10**4))
+
+
+@pytest.mark.parametrize("field,kwargs", [
+    ("trials", {"trials": 2e5 + 0.5}),
+    ("d", {"d": 2.5}),
+    ("bins", {"bins": float("nan")}),
+])
+def test_sorted_density_refuses_non_integer_counts(field, kwargs):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        check_sorted_density(**{"d": 2, **kwargs})
+
+
+def test_sorted_density_rejects_nonpositive_bins():
+    with pytest.raises(ValueError, match="bins must be positive"):
+        check_sorted_density(2, trials=10**5, bins=0)
