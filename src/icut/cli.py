@@ -45,12 +45,26 @@ def _cfg(fn, *args, **kw):
 
 
 def _list_of(kind):
-    """Parser of comma-separated ``kind`` values; int lists also take ``LO:HI`` inclusive."""
+    """Parser of comma-separated ``kind`` values; int lists also take one ``LO:HI`` range.
+
+    Its ValueError names the token it cannot read: a value, or a range not of two bounds.
+    """
+    noun = "integers" if kind is int else "numbers"
+
+    def value(token):
+        try:
+            return kind(token)
+        except ValueError:
+            raise ValueError(f"points must be {noun}, got {token!r}") from None
+
     def parse(text):
         if kind is int and ":" in text:
-            lo, hi = text.split(":")
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(kind(v) for v in text.split(","))
+            bounds = text.split(":")
+            if len(bounds) != 2:
+                raise ValueError(f"range must be LO:HI, got {text!r}")
+            lo, hi = map(value, bounds)
+            return tuple(range(lo, hi + 1))
+        return tuple(map(value, text.split(",")))
     parse.__name__ = f"{kind.__name__} list"    # argparse names the type in its errors
     return parse
 
@@ -269,14 +283,10 @@ def _cmd_ablate(v) -> int:
 
 def _grid(kind, text):
     """The ``--grid`` points of ``kind``: integers for the count sweeps, floats otherwise."""
-    counts = kind in ("dimension_sweep", "k_sweep")
-    point, noun = (int, "integers") if counts else (float, "numbers")
-    for token in re.split("[,:]" if point is int else ",", text):
-        try:
-            point(token)
-        except ValueError:
-            raise UsageError(f"--grid: {kind} points must be {noun}, got {token!r}") from None
-    return _cfg(_list_of(point), text)
+    try:
+        return _list_of(int if kind in ("dimension_sweep", "k_sweep") else float)(text)
+    except ValueError as exc:
+        raise UsageError(f"--grid: {kind} {exc}") from None
 
 
 # --------------------------------------------------------- validate-theory

@@ -161,6 +161,9 @@ def run_seed(config: ExperimentConfig, seed: int, data=None, memo=None, width=No
     """
     noisy, test = data or _corrupted_data(config, seed)
     selection, realized = select(config, noisy, seed, memo, width)
+    if selection.selected.size == 0:
+        raise StageError("select", ValueError(
+            f"empty selection: round(tau*n) = 0 at tau={config.cutstats.tau}, n={noisy.n}"))
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:

@@ -6,13 +6,15 @@ can record a per-epoch, per-sample correctness trace against the training
 labels, which feeds the forgetting-count baseline.  Everything is plain
 numpy and bit-for-bit deterministic given the seed.
 
-One function, ``_step``, computes the gradients into preallocated arrays;
-``loss_and_grads`` adds the loss to it, and training, which has no use for
-the loss, calls it alone.  During training the parameters, gradients and
-Adam moments are views of flat buffers, so each Adam operation is one
-elementwise call per step over every parameter.  Elementwise results do
-not depend on how the elements are grouped, so this trains the same
-parameters, bit for bit, as one update per parameter array.
+One forward pass, ``_forward``, serves training (``_step``) and
+prediction (``predict_proba``: the trace, entropy scores, evaluation).
+``_step`` computes the gradients into preallocated arrays, and
+``loss_and_grads`` adds the loss, which training does not use.  During
+training the parameters, gradients and Adam moments are ``_views`` of
+flat buffers (``load_classifier`` splits a model file the same way), so
+each Adam operation is one elementwise call per step over every parameter.
+Elementwise results do not depend on how the elements are grouped, so
+this trains the same parameters, bit for bit, as one update per array.
 
 The bias gradients are column sums over the batch.  With two or more
 columns (``b1`` above one hidden unit, and ``b2`` for more than two
@@ -72,14 +74,8 @@ class TrainedClassifier:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.W1.shape[0]:
             raise ValueError("feature dimension mismatch")
-        H = X @ self.W1
-        H += self.b1
-        np.maximum(H, 0.0, out=H)
-        Z = H @ self.W2 + self.b2
-        if self.num_classes == 2:
-            p1 = _sigmoid(Z[:, 0])
-            return np.column_stack([1.0 - p1, p1])
-        return _softmax(Z)
+        _, P = _forward((self.W1, self.b1, self.W2, self.b2), X, self.num_classes)
+        return np.column_stack([1.0 - P, P]) if self.num_classes == 2 else P
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         P = self.predict_proba(X)
@@ -99,37 +95,47 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=1, keepdims=True)
 
 
+def _output_units(num_classes: int) -> int:
+    """Binary targets have one (sigmoid) output unit, more classes one each."""
+    return 1 if num_classes == 2 else num_classes
+
+
+def _shapes(d: int, hidden: int, out: int):
+    """The shapes of [W1, b1, W2, b2]."""
+    return [(d, hidden), (hidden,), (hidden, out), (out,)]
+
+
 def init_params(d: int, hidden: int, out: int, rng: np.random.Generator):
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) for weights and biases."""
-    s1 = 1.0 / np.sqrt(d)
-    s2 = 1.0 / np.sqrt(hidden)
-    return [
-        rng.uniform(-s1, s1, size=(d, hidden)),
-        rng.uniform(-s1, s1, size=hidden),
-        rng.uniform(-s2, s2, size=(hidden, out)),
-        rng.uniform(-s2, s2, size=out),
-    ]
+    s1, s2 = 1.0 / np.sqrt(d), 1.0 / np.sqrt(hidden)
+    return [rng.uniform(-s, s, size=shape)
+            for s, shape in zip((s1, s1, s2, s2), _shapes(d, hidden, out))]
 
 
-def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.ndarray:
-    """Fill ``grads`` with the batch gradients for [W1, b1, W2, b2].
+def _forward(params, X: np.ndarray, num_classes: int):
+    """The hidden layer relu(X W1 + b1) and the predicted probabilities.
 
-    Returns the predicted probabilities: p(class 1) for binary targets, the
-    softmax rows otherwise.
+    The probabilities are p(class 1) for binary targets, the softmax rows
+    otherwise.
     """
     W1, b1, W2, b2 = params
-    gW1, gb1, gW2, gb2 = grads
-    B = X.shape[0]
     H = X @ W1
     H += b1
     np.maximum(H, 0.0, out=H)  # ReLU in place: H > 0 exactly where X W1 + b1 > 0
-    Z2 = H @ W2 + b2
+    Z = H @ W2 + b2
+    return H, _sigmoid(Z[:, 0]) if num_classes == 2 else _softmax(Z)
+
+
+def _step(params, X: np.ndarray, y: np.ndarray, num_classes: int, grads) -> np.ndarray:
+    """Fill ``grads`` with the batch gradients for [W1, b1, W2, b2]; return the probabilities."""
+    W2 = params[2]
+    gW1, gb1, gW2, gb2 = grads
+    B = X.shape[0]
+    H, probs = _forward(params, X, num_classes)
     if num_classes == 2:
-        probs = _sigmoid(Z2[:, 0])
         dZ2 = ((probs - y) / B)[:, None]
         dH = np.einsum("i,j->ij", dZ2[:, 0], W2[:, 0])   # outer product: one rounding per entry
     else:
-        probs = _softmax(Z2)
         dZ2 = probs.copy()
         dZ2[np.arange(B), y] -= 1.0
         dZ2 /= B
@@ -169,10 +175,10 @@ def loss_and_grads(params, X: np.ndarray, y: np.ndarray, num_classes: int):
     return float(loss), grads
 
 
-def _views(flat: np.ndarray, like):
-    """Views of ``flat``, back to back, shaped as the arrays of ``like``."""
-    ends = np.cumsum([a.size for a in like])
-    return [flat[e - a.size:e].reshape(a.shape) for a, e in zip(like, ends)]
+def _views(flat: np.ndarray, shapes):
+    """Views of ``flat``, back to back, in ``shapes``."""
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    return [flat[e - math.prod(s):e].reshape(s) for s, e in zip(shapes, ends)]
 
 
 def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
@@ -182,8 +188,6 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
     With ``trace``, the model also carries a per-epoch correctness trace on
     the training set, which costs one prediction pass per epoch.
     """
-    if train.n == 0:
-        raise ValueError("empty selection")
     X = train.features
     # Adam squares gradients that carry x: an overflowing |x|^2 stalls its weights.
     with np.errstate(over="ignore"):
@@ -191,12 +195,12 @@ def train_mlp(train: LabeledDataset, config: MlpConfig, seed: int = 0,
             raise ValueError(OVERFLOW)
     y = train.noisy_labels
     C = train.num_classes
-    out_units = 1 if C == 2 else C
     rng = seeded_rng(seed, 23)
-    init = init_params(train.d, config.hidden_units, out_units, rng)
+    init = init_params(train.d, config.hidden_units, _output_units(C), rng)
     flat = np.concatenate([p.ravel() for p in init])
     g, m, v, s, u = (np.zeros_like(flat) for _ in range(5))
-    params, grads = _views(flat, init), _views(g, init)
+    shapes = [p.shape for p in init]
+    params, grads = _views(flat, shapes), _views(g, shapes)
     lr = config.learning_rate
     t = 0
     model = TrainedClassifier(*params, num_classes=C)  # updated in place below
@@ -281,15 +285,8 @@ def load_classifier(path) -> TrainedClassifier:
     if len(blob) < 16:
         raise ValueError("corrupt classifier weight file")
     d, hidden, C = struct.unpack_from("<III", blob, 4)
-    out_units = 1 if C == 2 else C
-    shapes = [(d, hidden), (hidden,), (hidden, out_units), (out_units,)]
-    if len(blob) != 16 + 8 * sum(int(np.prod(s)) for s in shapes):
+    shapes = _shapes(d, hidden, _output_units(C))
+    if len(blob) != 16 + 8 * sum(math.prod(s) for s in shapes):
         raise ValueError("corrupt classifier weight file")
-    offset = 16
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        offset += count * 8
-    return TrainedClassifier(*arrays, num_classes=C)
+    flat = np.frombuffer(blob, dtype="<f8", offset=16).astype(np.float64)
+    return TrainedClassifier(*_views(flat, shapes), num_classes=C)

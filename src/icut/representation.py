@@ -55,7 +55,7 @@ class RepresentedDataset:
 
 def compute_representation(dataset: LabeledDataset, kind: str) -> RepresentedDataset:
     if kind == "identity":
-        reps = dataset.features.copy()
+        reps = dataset.features   # shared: no stage writes into a representation
     elif kind == "l2norm":
         with np.errstate(over="ignore"):  # squares from about 1e154 up overflow
             reps = np.linalg.norm(dataset.features, axis=1)[:, None]

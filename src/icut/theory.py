@@ -253,8 +253,9 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
         raise ValueError("d must be 1, 2, or 3")
     if trials < 10**5:
         raise ValueError("trials must be at least 10^5")
-    if bins < 1:
-        raise ValueError("bins must be positive")
+    if bins < max(2, d):
+        raise ValueError(f"bins must be positive and at least max(2, d) = {max(2, d)}: "
+                         "coarser bins leave no cell to test")
     factor = float(math.factorial(d))
     p_cell = factor / bins**d
     if trials * p_cell < 25.0:
@@ -262,26 +263,13 @@ def check_sorted_density(d: int, trials: int = 10**6, bins: int = 8,
     rng = seeded_rng(seed, 37)
     x = np.sort(rng.random((trials, d)), axis=1)
     idx = np.minimum((x * bins).astype(np.int64), bins - 1)
-    flat = np.zeros(bins**d, dtype=np.int64)
-    key = np.zeros(trials, dtype=np.int64)
-    for c in range(d):
-        key = key * bins + idx[:, c]
-    np.add.at(flat, key, 1)
-    sigma = math.sqrt(trials * p_cell * (1.0 - p_cell))
-    tested = passed = 0
-    max_z = 0.0
-    for cell in combinations(range(bins), d):   # strictly increasing => interior
-        k = 0
-        for c in cell:
-            k = k * bins + c
-        z = (flat[k] - trials * p_cell) / sigma
-        tested += 1
-        max_z = max(max_z, abs(z))
-        if abs(z) <= 4.0:
-            passed += 1
+    cells = np.array(list(combinations(range(bins), d)))   # strictly increasing => interior
+    keys = np.ravel_multi_index(np.concatenate([idx, cells]).T, (bins,) * d)
+    counts = np.bincount(keys[:trials], minlength=bins**d)[keys[trials:]]
+    z = np.abs(counts - trials * p_cell) / math.sqrt(trials * p_cell * (1.0 - p_cell))
     return SortedDensityReport(d=d, bins=bins, trials=trials, factor=factor,
-                               cells_tested=tested, cells_passed=passed,
-                               max_abs_z=max_z)
+                               cells_tested=len(cells), cells_passed=int(np.sum(z <= 4.0)),
+                               max_abs_z=float(z.max()))
 
 
 def theory_checks(trials: int = 10**6, tuples: int = 20, seed: int = 0):

@@ -175,6 +175,35 @@ def oracle_permutation_h(X, powers):
     return sum(np.sin(X ** k).sum(axis=1) for k in range(1, powers + 1))
 
 
+def oracle_sorted_density(d, trials, bins, seed):
+    """(cells tested, cells passed, max |z|) of the sorted-density check, by
+    base-``bins`` key loops, ``np.add.at`` and a loop over interior cells.
+    """
+    from itertools import combinations
+
+    from icut.core import seeded_rng
+    p_cell = math.factorial(d) / bins**d
+    x = np.sort(seeded_rng(seed, 37).random((trials, d)), axis=1)
+    idx = np.minimum((x * bins).astype(np.int64), bins - 1)
+    flat = np.zeros(bins**d, dtype=np.int64)
+    key = np.zeros(trials, dtype=np.int64)
+    for c in range(d):
+        key = key * bins + idx[:, c]
+    np.add.at(flat, key, 1)
+    sigma = math.sqrt(trials * p_cell * (1.0 - p_cell))
+    tested = passed = 0
+    max_z = 0.0
+    for cell in combinations(range(bins), d):
+        k = 0
+        for c in cell:
+            k = k * bins + c
+        z = abs(flat[k] - trials * p_cell) / sigma
+        tested += 1
+        max_z = max(max_z, z)
+        passed += z <= 4.0
+    return tested, passed, max_z
+
+
 def oracle_zscores(reps, ids, labels, k, priors):
     """Straight-line transcription of the z-score formulas.
 

@@ -286,6 +286,16 @@ def test_exp_missing_train_file_is_a_stage_error(capsys, tmp_path):
     assert err.startswith("error: [load]")
 
 
+@pytest.mark.parametrize("method", ["cutstats", "herding", "random"])
+def test_exp_empty_selection_is_a_select_error_with_no_report(capsys, tmp_path, method):
+    code, _, err = run_cli(capsys, "exp", "--group", "orthogonal", "--d", "3",
+                           "--n-train", "2", "--n-test", "2", "--tau", "0.2", "--k", "1",
+                           "--method", method, "--seed-list", "0", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == "error: [select] empty selection: round(tau*n) = 0 at tau=0.2, n=2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _with_field(src, dst, row, field, value):
     """Copy CSV ``src`` to ``dst`` with one field of data row ``row`` replaced."""
     lines = src.read_text().splitlines()
@@ -418,6 +428,12 @@ BAD_GRIDS = {
                                       "got '8.5'"),
     "k_sweep_range_with_word": (["k_sweep", "--grid", "3:x"],
                                 "error: --grid: k_sweep points must be integers, got 'x'"),
+    "k_sweep_range_with_three_bounds": (["k_sweep", "--grid", "3:5:7"],
+                                        "error: --grid: k_sweep range must be LO:HI, "
+                                        "got '3:5:7'"),
+    "dimension_sweep_range_with_three_bounds": (["dimension_sweep", "--grid", "3:5:7"],
+                                                "error: --grid: dimension_sweep range must be "
+                                                "LO:HI, got '3:5:7'"),
     "tau_sweep_with_word": (["tau_sweep", "--grid", "0.4,abc"],
                             "error: --grid: tau_sweep points must be numbers, got 'abc'"),
     "tau_sweep_with_zero": (["tau_sweep", "--grid", "0.4,0"], "tau must lie in (0, 1]"),
@@ -444,6 +460,17 @@ def test_ablate_bad_grid_is_a_usage_error_before_any_point_runs(
     assert code == 2
     assert message in err
     assert list(tmp_path.glob("ablation_*")) == []
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["exp", "--group", "orthogonal", "--seed-list", "3:5:7"], "--seed-list"),
+    (["bounds", "--d-range", "3:5:7"], "--d-range"),
+], ids=["seed_list", "d_range"])
+def test_int_list_flags_refuse_a_range_of_three_bounds(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int list value: '3:5:7'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,message", [

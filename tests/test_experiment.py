@@ -146,6 +146,18 @@ def test_run_seed_wraps_missing_file_as_load_stage(tmp_path):
         run_seed(cfg, 0)
 
 
+@pytest.mark.parametrize("method", ["cutstats", "herding", "random"])
+def test_run_seed_empty_selection_fails_at_select_before_training(monkeypatch, method):
+    def no_training(*args, **kw):
+        raise AssertionError("trained on an empty selection")
+    monkeypatch.setattr(experiment, "train_mlp", no_training)
+    cfg = tiny_config(method=method, cutstats=CutstatsConfig(k=1, tau=0.2),
+                      synthetic=SyntheticSpec(group="orthogonal", d=3, n_train=2, n_test=2))
+    with pytest.raises(StageError, match=r"empty selection: round\(tau\*n\) = 0") as exc:
+        run_seed(cfg, 0)
+    assert exc.value.stage == "select"
+
+
 def test_run_seed_external_embedding_round_trip(tmp_path):
     from icut.io import write_embedding_csv
 

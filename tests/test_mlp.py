@@ -8,7 +8,7 @@ import pytest
 from icut import (LabeledDataset, MlpConfig, TrainedClassifier, entropy_scores,
                   evaluate, forgetting_counts, load_classifier, save_classifier,
                   train_mlp)
-from icut.mlp import _column_sums, init_params, loss_and_grads
+from icut.mlp import _column_sums, _step, init_params, loss_and_grads
 from conftest import random_dataset, reference_train_mlp
 
 
@@ -178,6 +178,21 @@ def test_column_sums_equal_numpy_reduce_value_for_value(rows, columns):
     assert out.tobytes() == np.add.reduce(A, axis=0).tobytes()
 
 
+@pytest.mark.parametrize("num_classes", [2, 3])
+@pytest.mark.parametrize("hidden_units", [1, 8])
+def test_predict_proba_equals_the_training_step_bit_for_bit(num_classes, hidden_units):
+    ds = random_dataset(50, 4, num_classes=num_classes, seed=13)
+    model = train_mlp(ds, MlpConfig(epochs=2, hidden_units=hidden_units, batch_size=16))
+    params = [model.W1, model.b1, model.W2, model.b2]
+    grads = [np.empty_like(p) for p in params]
+    probs = _step(params, ds.features, ds.noisy_labels, num_classes, grads)
+    P = model.predict_proba(ds.features)
+    if num_classes == 2:
+        assert np.array_equal(P[:, 1], probs) and np.array_equal(P[:, 0], 1.0 - probs)
+    else:
+        assert np.array_equal(P, probs)
+
+
 def test_softmax_probabilities_sum_to_one():
     ds = random_dataset(60, 4, num_classes=4, seed=4)
     model = train_mlp(ds, MlpConfig(epochs=2))
@@ -308,6 +323,21 @@ def test_save_load_multiclass(tmp_path):
     loaded = load_classifier(path)
     assert loaded.num_classes == 3
     assert loaded.W2.shape == (4, 3)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_save_load_save_gives_identical_bytes_and_arrays(tmp_path, num_classes):
+    ds = random_dataset(40, 3, num_classes=num_classes, seed=11)
+    model = train_mlp(ds, MlpConfig(epochs=2, hidden_units=5))
+    first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+    save_classifier(model, first)
+    loaded = load_classifier(first)
+    save_classifier(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(loaded, name), getattr(model, name))
+        assert getattr(loaded, name).dtype == np.float64
+    assert loaded.num_classes == num_classes
 
 
 def test_load_rejects_wrong_magic(tmp_path):

@@ -37,11 +37,11 @@ def test_sort_is_idempotent():
     assert np.array_equal(once, again)
 
 
-def test_identity_is_bitwise_copy():
+def test_identity_shares_the_feature_array():
     ds = random_dataset(20, 4, seed=2)
     rep = compute_representation(ds, "identity")
     assert np.array_equal(rep.representations, ds.features)
-    assert rep.representations is not ds.features
+    assert np.shares_memory(rep.representations, ds.features)   # shared, not copied
 
 
 def test_compute_rejects_unknown_kind():

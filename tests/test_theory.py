@@ -9,6 +9,7 @@ from icut import (WindowParams, check_corollary,
                   check_sorted_density, feasibility_window, subset_error_rates,
                   unit_ball_log_volume, validate_prop1_monte_carlo)
 from icut.theory import theory_checks
+from conftest import oracle_sorted_density
 
 WORKED = dict(n=10**6, nu=0.05, rho=1.0, delta=0.1, omega=1.0, p0=1.0, kl1=1.0)
 
@@ -225,6 +226,25 @@ def test_sorted_density_matches_factorial_factor():
         assert rep.cells_tested == math.comb(rep.bins, d)
         assert rep.all_passed
         assert rep.max_abs_z <= 4.0
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sorted_density_equals_the_loop_oracle(d, seed):
+    for bins in range(max(2, d), 9):
+        rep = check_sorted_density(d, trials=10**5, bins=bins, seed=seed)
+        assert ((rep.cells_tested, rep.cells_passed, rep.max_abs_z)
+                == oracle_sorted_density(d, 10**5, bins, seed))
+
+
+@pytest.mark.parametrize("d,bins", [(1, 1), (2, 1), (3, 1), (3, 2)])
+def test_sorted_density_refuses_bins_that_leave_nothing_to_test(monkeypatch, d, bins):
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking bins")
+    monkeypatch.setattr("icut.theory.seeded_rng", no_sampling)
+    with pytest.raises(ValueError, match=rf"^bins must be positive and at least max\(2, d\) "
+                                         rf"= {max(2, d)}: coarser bins leave no cell to test$"):
+        check_sorted_density(d, trials=10**5, bins=bins)
 
 
 def test_sorted_density_rejects_high_dimensions():
