@@ -102,9 +102,11 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
 
     The single selector dispatch: ``run_seed`` and ``icut select`` call it.
     Every score-based method ends in the one ``rank_select`` below; herding and
-    full keep their own pick order. ``memo`` keeps each stage output under the
-    swept values it depends on (target error, k), so an ablation builds it once
-    per seed; the table is built ``width`` wide (default k), read to column k.
+    full keep their own pick order.  An empty selection (round(tau*n) = 0) is a
+    ``[select]`` error, raised before any caller writes or trains on it.
+    ``memo`` keeps each stage output under the swept values it depends on
+    (target error, k), so an ablation builds it once per seed; the table is
+    built ``width`` wide (default k), read to column k.
     """
     memo = {} if memo is None else memo
 
@@ -114,10 +116,10 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
         return memo[key]
 
     tau, k, target = config.cutstats.tau, config.cutstats.k, config.invariance_target
-    realized = None
+    realized = selected = None
     if config.method == "full":
-        return SelectionResult(scores=np.zeros(noisy.n), selected=noisy.ids.copy()), realized
-    if config.method == "random":
+        scores, selected = np.zeros(noisy.n), noisy.ids.copy()
+    elif config.method == "random":
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
         forget = config.method == "forget"
@@ -134,11 +136,18 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
             rep, realized = once(("perturbed", target), "represent", perturb_representation,
                                  rep, target, seed=seed)
         if config.method == "herding":
-            return _staged("select", herding_select, rep, tau), realized
-        table = once(("table", target), "select", build_neighbor_table, rep, width or k)
-        scores = once(("scores", target, k), "select", cutstats_scores, rep, table.head(k),
-                      config.cutstats)
-    return SelectionResult(scores=scores, selected=rank_select(scores, noisy.ids, tau)), realized
+            herded = _staged("select", herding_select, rep, tau)
+            scores, selected = herded.scores, herded.selected
+        else:
+            table = once(("table", target), "select", build_neighbor_table, rep, width or k)
+            scores = once(("scores", target, k), "select", cutstats_scores, rep,
+                          table.head(k), config.cutstats)
+    if selected is None:
+        selected = rank_select(scores, noisy.ids, tau)
+    if selected.size == 0:
+        raise StageError("select", ValueError(
+            f"empty selection: round(tau*n) = 0 at tau={tau}, n={noisy.n}"))
+    return SelectionResult(scores=scores, selected=selected), realized
 
 
 def _corrupted_data(config: ExperimentConfig, seed: int):
@@ -161,9 +170,6 @@ def run_seed(config: ExperimentConfig, seed: int, data=None, memo=None, width=No
     """
     noisy, test = data or _corrupted_data(config, seed)
     selection, realized = select(config, noisy, seed, memo, width)
-    if selection.selected.size == 0:
-        raise StageError("select", ValueError(
-            f"empty selection: round(tau*n) = 0 at tau={config.cutstats.tau}, n={noisy.n}"))
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:

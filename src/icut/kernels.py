@@ -7,22 +7,35 @@ once by (value, rank); a row proposes the rows of its 2k-row window no
 farther than its k-th distance, and the tie runs at that distance past
 the window edges: about O(n log n + n k log k) work.  Wider inputs
 propose with the gram trick on column-centered rows, scaled by a power
-of two: O(n^2 m) work in blocks of rows that reuse two fixed rows x n
-buffers and a rows x n candidate mask, about 25 MB beyond the input and
-the table.  Each block of squared distances is one matmul, marked in
-float32 within a margin derived in ``_gram_scan`` that holds every true
-neighbor, cut at the k-th smallest of its integer view, whose order is
-the value order for non-negative floats.  A block that marks more than
-2k candidates per row (tightly clustered rows) is marked again in
-float64, as is every later block.  ``_rescore`` ranks either path's
-candidates by exact squared distances of the input rows, ties broken by
-ascending rank, in chunks of rows sized from their own candidate counts,
-so that runs of ties keep to the same memory.  Both paths thus return
-the same (distance, ascending-rank) table, exact under any translation
-or scale of the features that keeps squared distances finite in float64.
-Larger inputs (entries from about 1e153 up) and non-finite ones raise
-``ValueError``.  Herding scans every candidate once per pick, under the
-same limit on its scores.
+of two: O(n^2 m) work at most, in blocks of rows that reuse two fixed
+buffers and a candidate mask.  Rows are first grouped around up to
+PIVOTS pivots (O(n P m) work); a triangle-inequality bound on each row's
+k-th distance lets each block skip the groups that cannot hold a
+neighbor or a tie.  Where that bound would keep more than KEPT of the
+gram (rows without clusters), there is one group and the blocks span all
+n columns.  Each block of squared distances is one matmul per run of
+reachable columns, marked in float32 within a margin derived in
+``_gram_scan`` that holds every true neighbor, cut at the k-th smallest
+of its integer view, whose order is the value order for non-negative
+floats.  A block that marks more than 2k candidates per row (tightly
+clustered rows) is marked again in float64, as is every later block.
+``_rescore`` ranks either path's candidates by exact squared distances of
+the input rows, ties broken by ascending rank, in chunks of rows sized
+from their own candidate counts, so that runs of ties keep to the same
+memory.  Both paths thus return the same (distance, ascending-rank)
+table, exact under any translation or scale of the features that keeps
+squared distances finite in float64.  Larger inputs (entries from about
+1e153 up) and non-finite ones raise ``ValueError``.  Herding scans every
+candidate once per pick, under the same limit on its scores.
+
+Working memory of the gram path beyond the input and its n x k table
+(16 n k bytes), for n rows of width m: the float64 centered rows C and
+their float32 operands, 16 n (m + 2) bytes; the two block buffers and the
+mask, 17 BLOCK_ELEMENTS bytes; the rescoring chunks, 16 RESCORE_ELEMENTS;
+and one pass's candidate indices, 6 RESCORE_ELEMENTS.  A fallback to
+float64 adds its operand, 8 n (m + 2).  Grouped rows add their copies of X
+and C in group order, 16 n (m + 1); the bounds take O(n P) and are freed
+before the first block.
 """
 
 from __future__ import annotations
@@ -41,6 +54,16 @@ BLOCK_ELEMENTS = 2**20
 # distance, rank, mask and sort indices about 50 (traced peaks: 57 bytes at
 # m = 1, 512 at m = 32), so at most 16 bytes per element, 8 MB in all.
 RESCORE_ELEMENTS = BLOCK_ELEMENTS // 2
+
+# Pivot groups of the gram path: at most PIVOTS pivots, drawn from a
+# sample of about PIVOT_SAMPLE rows (every n // PIVOT_SAMPLE-th), and one
+# group wherever the bound keeps more than KEPT of the gram.  Measured on
+# 2 cores at n = 5000, m = 32, k = 40 (see ROADMAP): 16 pivots served 5,
+# 10 and 20 clusters (8 missed 10 and 20, 32 cost 5 ms more on 5), and
+# keeping groups cost more than it saved from a kept share of about 0.65.
+PIVOTS = 16
+PIVOT_SAMPLE = 512
+KEPT = 0.5
 
 OVERFLOW = ("squared distances overflow float64: non-finite representation values, "
             "or features too large to square")
@@ -75,8 +98,6 @@ def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
 
 def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     n, m = X.shape
-    pos = np.empty((n, k), dtype=np.int64)
-    d2 = np.empty((n, k), dtype=np.float64)
     # Distances do not change under translation, but the gram trick's
     # rounding error grows with the squared norms, so candidates come from
     # centered rows, scaled by 2^-s (exactly) so that their largest entry
@@ -117,6 +138,41 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     # float64, and so is every later block.  There the same argument, with
     # no cast and the same spare term, gives t_i = (m + 3) eps64 (|c_i|^2 +
     # max |c|^2) and the same margin of 8 t_i plus the subnormal term.
+    #
+    # Pivot groups.  Where the rows form clusters far apart, most of the gram
+    # holds no neighbor.  _groups picks pivots by farthest-point traversal
+    # over a strided sample of the rows c, gives each row to its nearest
+    # pivot, and takes each group's centre mu_g (the mean of its rows) and
+    # radius r_g (its largest row-centre distance), and each row's distance
+    # delta_ig to each centre.  By the triangle inequality every row j of
+    # group g lies within [delta_ig - r_g, delta_ig + r_g] of row i.  Let
+    # A_i be the least delta_ig + r_g at which the groups within it hold
+    # k + 1 rows: they hold k rows besides i, so i's k-th distance is at
+    # most A_i, and a group with delta_ig - r_g > A_i holds no row that can
+    # be i's neighbor or tie with its k-th.  Rows are ordered by group, and
+    # each block of rows is multiplied and marked only against the groups
+    # its rows can reach (each row reaches its own).  Those columns hold
+    # every true member, so a row's k-th smallest among them is its k-th,
+    # and the argument above holds as it stands.
+    #
+    # The bounds are taken in float64 on c.  Let R^2 = max |c|^2 and
+    # lam = 4 (m + 3) eps64 R^2.  Each delta comes from the gram form
+    # |c_i|^2 + |mu_g|^2 - 2 c_i.mu_g, off by at most lam / 2 (|mu_g| <= R up
+    # to rounding, a centre being a mean of rows), so after the square root
+    # delta and r are each off by under sqrt(lam / 2) + eps64 R, and A_i,
+    # their rounded sum, by another 2 eps64 R: kappa = 2 sqrt(lam) covers
+    # two such errors and the sum.  Rescoring's d_ij, in scaled units,
+    # differs from |c_i - c_j|^2 by at most lam + subnormal: centering moves
+    # each entry of c by eps64 / 2 of itself (entries below float64's normal
+    # range by under 2^-1074), so |c_i - c_j| by under eps64 R, and the
+    # rescoring sums are off by (m + 2) eps64 / 2 relatively plus the
+    # subnormal term.  So with lo = delta_ig - r_g - kappa > 0, every row j
+    # of g has d_ij >= lo^2 - (lam + subnormal), and i's k-th d is at most
+    # (A_i + kappa)^2 + lam + subnormal.  Group g is skipped for row i when
+    # lo^2 > (A_i + kappa)^2 + 8 (lam + subnormal): four times the two
+    # errors, the rest covering the test's own roundings (lo <= 2R and
+    # A_i <= 4R, so under 50 eps64 R^2 in all, against 6 lam >= 120 eps64
+    # R^2).  Inputs whose scaled squared distances underflow skip nothing.
     C = np.ones((n, m + 2))
     np.subtract(X, X.mean(axis=0), out=C[:, :m])
     s = int(np.frexp(max(C[:, :m].max(), -C[:, :m].min()))[1])
@@ -124,18 +180,41 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
     sq = np.einsum("ij,ij->i", C[:, :m], C[:, :m])
     C[:, m] = sq
     subnormal = np.ldexp(float(m), min(-1072 - 2 * s, 64))
+    grouped = _groups(C[:, :m], sq, k, subnormal)
+    if grouped is None:
+        return _scan(X, rank, k, C, subnormal, [(0, n, [(0, n)])])
+    order, bands = grouped
+    # Scanned in group order, whose nearby rows rescore faster than the
+    # caller's; the table is written back in the caller's order.  Rebinding
+    # C frees the rows in the caller's order before the scan.
+    X, rank, C = X[order], rank[order], C[order]
+    return _scan(X, rank, k, C, subnormal, bands, order)
 
+
+def _scan(X, rank, k, C, subnormal, bands, names=None):
+    """The table, from blocks of each band's rows.
+
+    A band (r0, r1, spans) marks rows [r0, r1) against the column ranges
+    ``spans``; ``names`` as in ``_rescore_rows``.
+    """
+    n, m = X.shape[0], C.shape[1] - 2
+    sq = C[:, m]
+    pos = np.empty((n, k), dtype=np.int64)
+    d2 = np.empty((n, k), dtype=np.float64)
     # Two float64 rows x n buffers for a block's d and its partitioned copy
     # and a rows x n mask, reused by every block: 17 MB in all while
     # n <= BLOCK_ELEMENTS (one row each past that), whatever n^2 is.  The
     # float32 blocks are views of the buffers' first halves, so the same
     # allocations serve both precisions.  Separate 4 MB float32 buffers
     # saved no memory on average, and left the process's peak RSS varying
-    # by 10 MB from run to run with where glibc trimmed its heap.
+    # by 10 MB from run to run with where glibc trimmed its heap.  A band
+    # reaching w < n columns keeps the same rows per block and fills only
+    # part of them: blocks of more rows, filling the buffers, were no
+    # faster, and their larger candidate lists raised peak RSS by 2 MB.
     rows = max(1, min(n, BLOCK_ELEMENTS // n))
-    E = np.empty((rows, n))
-    P = np.empty((rows, n))
-    M = np.empty((rows, n), dtype=bool)
+    E = np.empty(rows * n)
+    P = np.empty(rows * n)
+    M = np.empty(rows * n, dtype=bool)
 
     def marker(dtype, steps):
         """A function marking the candidates of rows [b0, b1) in ``dtype``."""
@@ -145,36 +224,123 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
         right[m + 1] = sq
         margin = 8.0 * (m + steps) * np.finfo(dtype).eps * (sq + sq.max()) + subnormal
         margin = margin.astype(dtype)
-        e, p = (B.reshape(-1).view(dtype)[:rows * n].reshape(rows, n) for B in (E, P))
+        e, p = (B.view(dtype) for B in (E, P))
 
-        def mark(b0, b1, mask):
-            d = e[:b1 - b0]
-            np.matmul(left[b0:b1], right, out=d)
-            d[np.arange(b1 - b0), np.arange(b0, b1)] = np.inf
-            return _mark(d, p[:b1 - b0], margin[b0:b1], k, mask)
+        def mark(b0, b1, spans, own, mask):
+            d, at = e[:mask.size].reshape(mask.shape), 0
+            for c0, c1 in spans:
+                np.matmul(left[b0:b1], right[:, c0:c1], out=d[:, at:at + c1 - c0])
+                at += c1 - c0
+            d[np.arange(b1 - b0), np.arange(own, own + b1 - b0)] = np.inf
+            return _mark(d, p[:d.size].reshape(d.shape), margin[b0:b1], k, mask)
         return mark
 
     # One nonzero pass finds a block's candidates, or, past RESCORE_ELEMENTS
     # / 4 of them (a tie-heavy block), one pass per slab of rows holding at
     # most that many mask entries: a pass's indices take at most 3 MB.
-    slab = max(1, RESCORE_ELEMENTS // (4 * n))
     mark, in_float64 = marker(np.float32, 5), False
-    for b0 in range(0, n, rows):
-        b1 = min(b0 + rows, n)
-        mask = M[:b1 - b0]
-        total = mark(b0, b1, mask)
-        if not in_float64 and total > 2 * k * (b1 - b0):
-            mark, in_float64 = marker(np.float64, 3), True
-            total = mark(b0, b1, mask)
-        width = b1 - b0 if total <= RESCORE_ELEMENTS // 4 else slab
-        for s0 in range(b0, b1, width):
-            s1 = min(s0 + width, b1)
-            r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), n)
-            counts = np.bincount(r, minlength=s1 - s0)
-            r += s0
-            e = np.concatenate(([0], np.cumsum(counts)))
-            _rescore_rows(X, rank, counts, lambda a, b: (r[e[a]:e[b]], c[e[a]:e[b]]), pos, d2)
+    for r0, r1, spans in bands:
+        cols = np.concatenate([np.arange(c0, c1) for c0, c1 in spans])
+        w = cols.size
+        slab = max(1, RESCORE_ELEMENTS // (4 * w))
+        for b0 in range(r0, r1, rows):
+            b1 = min(b0 + rows, r1)
+            own = int(np.searchsorted(cols, b0))   # the band's rows are columns it reaches
+            mask = M[:(b1 - b0) * w].reshape(b1 - b0, w)
+            total = mark(b0, b1, spans, own, mask)
+            if not in_float64 and total > 2 * k * (b1 - b0):
+                mark, in_float64 = marker(np.float64, 3), True
+                total = mark(b0, b1, spans, own, mask)
+            width = b1 - b0 if total <= RESCORE_ELEMENTS // 4 else slab
+            for s0 in range(b0, b1, width):
+                s1 = min(s0 + width, b1)
+                r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), w)
+                counts = np.bincount(r, minlength=s1 - s0)
+                r += s0
+                c = cols[c] if len(spans) > 1 else c + spans[0][0]
+                e = np.concatenate(([0], np.cumsum(counts)))
+                _rescore_rows(X, rank, counts, lambda a, b: (r[e[a]:e[b]], c[e[a]:e[b]]),
+                              pos, d2, names)
     return pos, d2
+
+
+def _groups(c, sq, k, subnormal):
+    """Rows grouped around pivots, or None where the bound would skip little.
+
+    Returns the group order of the rows and its bands: runs of rows, in that
+    order, whose groups reach the same groups, each with the column ranges
+    it reaches.  The share of the gram those bands keep is estimated first
+    on the strided sample, then taken on every row; over KEPT, there is one
+    group.
+    """
+    n, m = c.shape
+    stride = max(1, n // PIVOT_SAMPLE)
+    sample, norms = c[::stride], sq[::stride]
+    picks = [int(norms.argmax())]             # the largest row, lowest index on ties
+    far = np.full(sample.shape[0], np.inf)
+    while len(picks) < PIVOTS:
+        j = picks[-1]
+        np.minimum(far, norms + norms[j] - 2.0 * (sample @ sample[j]), out=far)
+        j = int(far.argmax())
+        if far[j] <= 0.0:
+            break
+        picks.append(j)
+    if len(picks) == 1:
+        return None
+    pivots = sample[picks]
+    lam = 4.0 * (m + 3) * np.finfo(np.float64).eps * sq.max()
+    slack = (2.0 * np.sqrt(lam), 8.0 * (lam + subnormal))
+    # The sample's share reads low (its radii are smaller), so it only
+    # spares unclustered input the bounds of every row.
+    rounds = [(sample, norms, -(-(k + 1) // stride))] if stride > 1 else []
+    for part, part_sq, held in rounds + [(c, sq, k + 1)]:
+        label, size, reach = _reach(part, part_sq, pivots, held, slack)
+        if size @ reach @ size > KEPT * float(part.shape[0]) ** 2:
+            return None
+    # Groups that reach the same groups form a band.  Bands follow the
+    # order of their rows of reach, groups the order of their bands, and
+    # rows the order of their groups: a band's rows are one range, and so
+    # are the columns of each group.
+    reaches, band = np.unique(reach, axis=0, return_inverse=True)
+    seq = np.argsort(band, kind="stable")                   # groups in row order
+    order = np.argsort(np.argsort(seq)[label], kind="stable")
+    starts = np.concatenate(([0], np.cumsum(size[seq])))
+    bands = []
+    for b in range(reaches.shape[0]):
+        own = np.flatnonzero(band[seq] == b)
+        edge = np.flatnonzero(np.diff(np.concatenate(([0], reaches[b][seq], [0]))))
+        spans = list(zip(starts[edge[0::2]].tolist(), starts[edge[1::2]].tolist()))
+        bands.append((int(starts[own[0]]), int(starts[own[-1] + 1]), spans))
+    return order, bands
+
+
+def _reach(c, sq, pivots, held, slack):
+    """Each row's nearest pivot; group sizes; groups x groups reachability.
+
+    Entry (g, h) is true where some row of group g may have a neighbor in
+    group h, by the bound in ``_gram_scan``; a row's groups within A hold
+    ``held`` rows.  Groups left empty are dropped.
+    """
+    n = c.shape[0]
+    label = (np.einsum("ij,ij->i", pivots, pivots) - 2.0 * (c @ pivots.T)).argmin(axis=1)
+    size = np.bincount(label, minlength=pivots.shape[0])
+    label = (np.cumsum(size > 0) - 1)[label]
+    size = size[size > 0]
+    member = np.zeros((n, size.size))
+    member[np.arange(n), label] = 1.0
+    centre = (member.T @ c) / size[:, None]
+    delta = sq[:, None] + np.einsum("ij,ij->i", centre, centre) - 2.0 * (c @ centre.T)
+    np.sqrt(np.maximum(delta, 0.0, out=delta), out=delta)
+    radius = np.zeros(size.size)
+    np.maximum.at(radius, label, delta[np.arange(n), label])
+    near = delta + radius
+    by = np.argsort(near, axis=1)
+    inside = np.count_nonzero(np.cumsum(size[by], axis=1) < held, axis=1)
+    A = near[np.arange(n), by[np.arange(n), inside]]
+    kappa, eta = slack
+    lo = delta - radius - kappa
+    reach = (lo <= 0.0) | (lo * lo <= ((A + kappa) ** 2 + eta)[:, None])
+    return label, size, (member.T @ reach) > 0.0
 
 
 def _mark(d, p, margin, k, mask):
@@ -194,7 +360,7 @@ def _mark(d, p, margin, k, mask):
     return np.count_nonzero(mask)
 
 
-def _rescore_rows(X, rank, counts, candidates, pos, d2):
+def _rescore_rows(X, rank, counts, candidates, pos, d2, names=None):
     """Table rows from their candidates, in chunks of consecutive rows.
 
     ``counts`` holds each row's number of candidates (k at least), and
@@ -202,17 +368,19 @@ def _rescore_rows(X, rank, counts, candidates, pos, d2):
     (r, c): candidate t is column c[t] of table row r[t].  A chunk takes rows
     while rows x its widest row x (m + 4) fits RESCORE_ELEMENTS (one row at
     least), so a row of many candidates only shrinks the chunks around it.
+    Where X holds the caller's rows in another order, ``names[i]`` is the
+    caller's index of row i, and the table is written in the caller's terms.
     """
     budget, r0 = RESCORE_ELEMENTS // (X.shape[1] + 4), 0
     while r0 < counts.size:
         ahead = counts[r0:r0 + budget // int(counts[r0])]
         fits = np.arange(1, ahead.size + 1) * np.maximum.accumulate(ahead) <= budget
         r1 = r0 + max(1, int(np.count_nonzero(fits)))
-        _rescore(X, rank, *candidates(r0, r1), counts[r0:r1], pos, d2)
+        _rescore(X, rank, *candidates(r0, r1), counts[r0:r1], pos, d2, names)
         r0 = r1
 
 
-def _rescore(X, rank, r, c, counts, pos, d2):
+def _rescore(X, rank, r, c, counts, pos, d2, names=None):
     """Rows r[0], r[0] + 1, ... of the table from their candidates, in one pass.
 
     Exact squared distances of every candidate (laid out as in
@@ -231,8 +399,13 @@ def _rescore(X, rank, r, c, counts, pos, d2):
     keys[filled] = rank[c]
     order = np.lexsort((keys, dist), axis=-1)[:, :k]
     first = np.cumsum(counts) - counts
-    pos[i0:i0 + counts.size] = c[first[:, None] + order]
-    d2[i0:i0 + counts.size] = np.take_along_axis(dist, order, axis=1)
+    picks = c[first[:, None] + order]
+    if names is None:
+        rows = slice(i0, i0 + counts.size)
+    else:
+        rows, picks = names[i0:i0 + counts.size], names[picks]
+    pos[rows] = picks
+    d2[rows] = np.take_along_axis(dist, order, axis=1)
 
 
 def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):

@@ -144,6 +144,23 @@ def oracle_neighbors(reps, ids, k):
     return rows, dists
 
 
+def full_sort(X, rank, k, rows):
+    """Each listed row's k nearest others by a sort of all its squared distances.
+
+    The distances are the kernel's own ``diff . diff`` of the input rows, so
+    the result is the exact (squared distance, rank) table, row for row.
+    """
+    pos = np.empty((len(rows), k), dtype=np.int64)
+    d2 = np.empty((len(rows), k))
+    for r, i in enumerate(rows):
+        diff = X - X[i]
+        full = np.einsum("ij,ij->i", diff, diff)
+        full[i] = np.inf
+        pos[r] = np.lexsort((rank, full))[:k]
+        d2[r] = full[pos[r]]
+    return pos, d2
+
+
 def oracle_herding(X, mu, count):
     """Plain-loop greedy herding: each step adds the untaken row that brings
     the running mean of the picked rows closest to ``mu``; ties go to the

@@ -6,14 +6,20 @@ reports must be byte-equal, and each op must yield one subset accuracy
 per selection it makes.  The op also runs under the tracer, which binds
 to library signatures: its report must equal the untraced one, every
 sampled neighbor-table row must match the exact scan, and every traced
-layer must still resolve.
+layer must still resolve.  The external workload's embedding is also
+built at full size, where its classes form pivot groups in the gram path.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from conftest import full_sort
+from icut import kernels
+from icut.io import read_embedding_csv
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -68,3 +74,26 @@ def test_traced_op_reports_the_untraced_bytes_and_checks_its_tables(tmp_path, mo
     assert checked > 0 and matched == checked
     assert COUNTED[name] <= {span["name"] for span in tracer.dump()}
     assert [n for n in tracing.LAYERS if tracing._resolve(n) is None] == STALE_LAYERS
+
+
+def test_full_size_external_embedding_skips_far_groups_and_stays_exact(tmp_path, monkeypatch):
+    # The small op's 400 rows form one group, so only the full-size input
+    # reaches the skip rule: its 5 classes lie far apart, and each block of
+    # rows is marked against its own class's columns only.
+    workloads = _load(monkeypatch, "workloads")
+    inputs = workloads.WORKLOADS["external-ksweep"].prepare(0, str(tmp_path), False)
+    ids, X = read_embedding_csv(inputs["embedding"])
+    n, k = X.shape[0], max(workloads.K_GRID)
+    widths, mark = [], kernels._mark
+
+    def spied(d, *rest):
+        widths.append(d.shape[1])
+        return mark(d, *rest)
+
+    monkeypatch.setattr(kernels, "_mark", spied)
+    pos, d2 = kernels.neighbor_table(X, ids, k)
+    assert n == 5000 and max(widths) < n / 2
+    rows = np.random.default_rng(0).choice(n, size=100, replace=False)
+    expected, dists = full_sort(X, ids, k, rows)
+    assert np.array_equal(pos[rows], expected)
+    assert np.array_equal(d2[rows], dists)

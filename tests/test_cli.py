@@ -296,6 +296,23 @@ def test_exp_empty_selection_is_a_select_error_with_no_report(capsys, tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["cutstats", "herding", "random"])
+def test_select_empty_selection_is_a_select_error_with_no_file(capsys, tmp_path, monkeypatch,
+                                                               method):
+    # the same refusal as exp's, before the default subset.txt or the scores are written
+    data = tmp_path / "two.csv"
+    labels = np.array([0, 1])
+    write_dataset_csv(LabeledDataset(features=np.array([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]]),
+                                     noisy_labels=labels, num_classes=2, ids=np.arange(2),
+                                     true_labels=labels), str(data))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "select", "--in", str(data), "--tau", "0.2", "--k", "1",
+                           "--method", method, "--out-scores", str(tmp_path / "scores.csv"))
+    assert code == 1
+    assert err == "error: [select] empty selection: round(tau*n) = 0 at tau=0.2, n=2\n"
+    assert list(tmp_path.iterdir()) == [data]
+
+
 def _with_field(src, dst, row, field, value):
     """Copy CSV ``src`` to ``dst`` with one field of data row ``row`` replaced."""
     lines = src.read_text().splitlines()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import oracle_herding, oracle_neighbors
+from conftest import full_sort, oracle_herding, oracle_neighbors
 from icut import kernels
 
 
@@ -20,25 +20,12 @@ def _case(n, d, seed, with_duplicates=False):
     return X, rank
 
 
-def _full_sort(X, rank, k, rows):
-    """Each listed row's k nearest others by a sort of all its squared distances."""
-    pos = np.empty((len(rows), k), dtype=np.int64)
-    d2 = np.empty((len(rows), k))
-    for r, i in enumerate(rows):
-        diff = X - X[i]
-        full = np.einsum("ij,ij->i", diff, diff)
-        full[i] = np.inf
-        pos[r] = np.lexsort((rank, full))[:k]
-        d2[r] = full[pos[r]]
-    return pos, d2
-
-
 def test_neighbor_table_matches_full_sort():
     # narrow and wide inputs, with duplicated rows so distance ties occur
     for d in (1, 3, 16, 40):
         X, rank = _case(300, d, seed=d, with_duplicates=True)
         pos, d2 = kernels.neighbor_table(X, rank, 10)
-        rows, dists = _full_sort(X, rank, 10, range(300))
+        rows, dists = full_sort(X, rank, 10, range(300))
         assert np.array_equal(pos, rows)
         assert np.array_equal(d2, dists)
         # the duplicated rows are each other's nearest neighbor at distance 0
@@ -84,7 +71,7 @@ def test_gram_path_across_several_blocks_matches_full_sort(kind, k, budget, monk
     X = _gram_case(kind, 300, rng)
     rank = rng.permutation(300).astype(np.int64)
     pos, d2 = kernels.neighbor_table(X, rank, k)
-    rows, dists = _full_sort(X, rank, k, range(300))
+    rows, dists = full_sort(X, rank, k, range(300))
     assert np.array_equal(pos, rows)
     assert np.array_equal(d2, dists)
     if budget is not None:
@@ -104,7 +91,7 @@ def _assert_small_and_exact(X, rank, k, rng):
     rows_per_block = kernels.BLOCK_ELEMENTS // n
     check = sorted({0, rows_per_block - 1, rows_per_block, n - 1,
                     *rng.choice(n, size=40, replace=False).tolist()})
-    rows, dists = _full_sort(X, rank, k, check)
+    rows, dists = full_sort(X, rank, k, check)
     assert np.array_equal(pos[check], rows)
     assert np.array_equal(d2[check], dists)
 
@@ -117,6 +104,31 @@ def test_gram_path_memory_does_not_grow_with_n_squared():
     n = 4000
     X = rng.normal(size=(n, 32))
     _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
+
+
+def test_wide_gram_path_memory_is_the_sum_of_its_terms():
+    # The kernels docstring's bound at n = 2000, m = 1000 (a 15.3 MiB input):
+    # the float64 C and the float32 operands, the table, the block buffers,
+    # the rescoring chunks and one pass's candidate indices.  The peak sits
+    # 3.4 MiB under it, so one more float32 copy of the operands (7.6 MiB)
+    # would break it.
+    rng = np.random.default_rng(27)
+    n, m, k = 2000, 1000, 20
+    X = rng.normal(size=(n, m))
+    rank = rng.permutation(n)
+    tracemalloc.start()
+    try:
+        pos, d2 = kernels.neighbor_table(X, rank, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    terms = (16 * n * (m + 2) + 16 * n * k + 17 * kernels.BLOCK_ELEMENTS
+             + 22 * kernels.RESCORE_ELEMENTS)
+    assert peak <= terms
+    check = rng.choice(n, size=20, replace=False)
+    rows, dists = full_sort(X, rank, k, check)
+    assert np.array_equal(pos[check], rows)
+    assert np.array_equal(d2[check], dists)
 
 
 @pytest.mark.parametrize("kind", ["identical", "underflow", "underflow-width-1"])
@@ -162,14 +174,13 @@ def test_clustered_blocks_fall_back_to_float64(clustered, monkeypatch):
     monkeypatch.setattr(kernels, "_mark", marked)
     monkeypatch.setattr(kernels, "_rescore", counted)
     pos, d2 = kernels.neighbor_table(X, rank, k)
-    rows, dists = _full_sort(X, rank, k, range(n))
+    rows, dists = full_sort(X, rank, k, range(n))
     assert np.array_equal(pos, rows)
     assert np.array_equal(d2, dists)
-    blocks = -(-n // (kernels.BLOCK_ELEMENTS // n))
-    if clustered:
-        assert dtypes == [np.float32] + [np.float64] * blocks
+    if clustered:   # the clusters form pivot groups, so blocks follow them, not n alone
+        assert len(dtypes) > 2 and dtypes == [np.float32] + [np.float64] * (len(dtypes) - 1)
     else:
-        assert dtypes == [np.float32] * blocks
+        assert dtypes == [np.float32] * -(-n // (kernels.BLOCK_ELEMENTS // n))
     assert sum(slots) < 2 * k * n          # near k a row, not n / 5 = 400
 
 
@@ -196,40 +207,183 @@ def test_mark_keeps_every_near_entry_when_negatives_lead_the_row(dtype):
     assert not marked[row > 8 * t].any()
 
 
+def _clusters(rng, sizes, m):
+    """Rows of unit spread around len(sizes) centres drawn from 10 N(0, 1), shuffled."""
+    label = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    centres = 10.0 * rng.standard_normal((len(sizes), m))
+    return centres[label] + rng.standard_normal((label.size, m)), label
+
+
+def _spy_widths(monkeypatch):
+    """The column count of every block ``_mark`` sees, in call order."""
+    widths, mark = [], kernels._mark
+
+    def spied(d, *rest):
+        widths.append(d.shape[1])
+        return mark(d, *rest)
+
+    monkeypatch.setattr(kernels, "_mark", spied)
+    return widths
+
+
+def _assert_exact(X, rank, k):
+    pos, d2 = kernels.neighbor_table(X, rank, k)
+    rows, dists = full_sort(X, rank, k, range(X.shape[0]))
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(d2, dists)
+    return pos
+
+
 # float32 candidates after the power-of-two scale: one column 1e30 times the
 # others (whose float32 products flush to zero), rows just under the overflow
-# bound, and all rows alike with every other row a neighbor
-@pytest.mark.parametrize("kind", ["mixed-columns", "huge", "identical"])
-def test_gram_path_is_exact_at_extreme_scales(kind):
+# bound, all rows alike with every other row a neighbor, and clusters just
+# under the overflow bound, where the group bounds skip far groups
+@pytest.mark.parametrize("kind", ["mixed-columns", "huge", "identical", "clustered-huge"])
+def test_gram_path_is_exact_at_extreme_scales(kind, monkeypatch):
     X, rank = _case(400, 20, seed=12)
     k = 10
     if kind == "mixed-columns":
         X[:, 0] *= 1e30
     elif kind == "huge":
         X *= 1e150
-    else:
+    elif kind == "identical":
         X = np.tile(X[0], (400, 1))
         k = 399
+    else:
+        X = _clusters(np.random.default_rng(12), [80] * 5, 20)[0] * 1e150
+    widths = _spy_widths(monkeypatch)
     pos, d2 = kernels.neighbor_table(X, rank, k)
     rows, dists = oracle_neighbors(X, rank, k)
     assert np.array_equal(pos, rows)
     assert np.allclose(np.sqrt(d2), dists, rtol=1e-12, atol=0.0)
+    if kind == "clustered-huge":
+        assert min(widths) < 400
 
 
 SHIFTS = [(offset, scale) for offset in (0.0, 1e5, 1e7) for scale in (1e-3, 1.0, 1e3)]
 
 
-# width 20 runs the gram path, width 1 the sorted scan
-@pytest.mark.parametrize("width,offset,scale", [
-    pytest.param(w, o, s, id=f"{o}-{s}" if w == 20 else f"width1-{o}-{s}")
-    for w in (20, 1) for o, s in SHIFTS])
-def test_neighbor_table_is_exact_under_translation_and_scale(width, offset, scale):
-    X, rank = _case(400, width, seed=7)
+# width 20 runs the gram path, width 1 the sorted scan; clustered rows at
+# width 20 run the gram path with far groups skipped
+@pytest.mark.parametrize("kind,offset,scale", [
+    pytest.param(kind, o, s, id={"gram": f"{o}-{s}", "width1": f"width1-{o}-{s}",
+                                 "clustered": f"clustered-{o}-{s}"}[kind])
+    for kind in ("gram", "width1", "clustered") for o, s in SHIFTS])
+def test_neighbor_table_is_exact_under_translation_and_scale(kind, offset, scale, monkeypatch):
+    X, rank = _case(400, 1 if kind == "width1" else 20, seed=7)
+    if kind == "clustered":
+        X = _clusters(np.random.default_rng(7), [80] * 5, 20)[0]
     X = X * scale + offset
+    widths = _spy_widths(monkeypatch)
     pos, d2 = kernels.neighbor_table(X, rank, 10)
     rows, dists = oracle_neighbors(X, rank, 10)
     assert np.array_equal(pos, rows)
     assert np.allclose(np.sqrt(d2), dists, rtol=1e-12, atol=0.0)
+    if kind == "clustered":
+        assert min(widths) < 400
+
+
+def test_separated_clusters_skip_far_groups_and_stay_exact(monkeypatch):
+    # 5 clusters far apart at the external workload's width and largest k:
+    # blocks mark only their own cluster's columns, about a fifth of them
+    rng = np.random.default_rng(20)
+    X, _ = _clusters(rng, [400] * 5, 32)
+    widths = _spy_widths(monkeypatch)
+    _assert_exact(X, rng.permutation(2000), 40)
+    assert max(widths) < 2000 and sum(widths) < 0.5 * 2000 * len(widths)
+
+
+def test_cluster_smaller_than_k_plus_one_reaches_other_groups(monkeypatch):
+    # the 15 rows of the small cluster find most of their 40 neighbors elsewhere
+    rng = np.random.default_rng(21)
+    X, label = _clusters(rng, [500, 500, 500, 500, 15], 32)
+    widths = _spy_widths(monkeypatch)
+    pos = _assert_exact(X, rng.permutation(X.shape[0]), 40)
+    small = np.flatnonzero(label == 4)
+    assert (label[pos[small]] != 4).sum(axis=1).min() >= 40 - 14
+    assert min(widths) < X.shape[0]
+
+
+def test_touching_clusters_keep_neighbors_across_groups(monkeypatch):
+    # two clusters that touch, among three far ones: some rows have true
+    # neighbors in another pivot group, which the bound must keep
+    rng = np.random.default_rng(22)
+    far, _ = _clusters(rng, [300] * 3, 32)
+    touching = 10.0 * rng.standard_normal(32) + rng.standard_normal((600, 32))
+    touching[300:, 0] += 2.5
+    X = np.concatenate([far, touching])
+    labels = []
+    reach = kernels._reach
+
+    def spied(c, *rest):
+        out = reach(c, *rest)
+        labels.append(out[0])
+        return out
+
+    monkeypatch.setattr(kernels, "_reach", spied)
+    widths = _spy_widths(monkeypatch)
+    pos = _assert_exact(X, rng.permutation(X.shape[0]), 20)
+    group = labels[-1]                      # the call over every row
+    assert group.size == X.shape[0] and min(widths) < X.shape[0]
+    assert (group[pos] != group[:, None]).any()
+
+
+def test_rows_equidistant_from_two_pivots(monkeypatch):
+    # integer clusters at -8 e1, 0 and +8 e1 with the same offsets: the
+    # pivots come out as mirror images, and the middle rows lie exactly
+    # as far from each; ties go to the lower pivot, and the table is exact
+    offsets = np.array([[a, b, c] for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)])
+    rows = [np.concatenate([[x], o]) for x in (-8.0, 0.0, 8.0) for o in offsets]
+    X = np.array(rows * 4, dtype=float)
+    calls = []
+    reach = kernels._reach
+
+    def spied(c, sq, pivots, *rest):
+        calls.append((c, pivots))
+        return reach(c, sq, pivots, *rest)
+
+    monkeypatch.setattr(kernels, "_reach", spied)
+    widths = _spy_widths(monkeypatch)
+    _assert_exact(X, np.random.default_rng(23).permutation(X.shape[0]), 10)
+    c, pivots = calls[-1]
+    far = ((c[:, None, :] - pivots[None, :, :]) ** 2).sum(axis=2)
+    nearest = far.min(axis=1, keepdims=True)
+    assert ((far == nearest).sum(axis=1) > 1).any()
+    assert min(widths) < X.shape[0]
+
+
+def test_clustered_duplicate_rows(monkeypatch):
+    # 60 distinct rows in 5 clusters, each repeated 25 times: ties at
+    # distance 0 everywhere, broken by rank inside far-skipping blocks
+    rng = np.random.default_rng(24)
+    pool, _ = _clusters(rng, [12] * 5, 16)
+    X = pool[rng.integers(0, 60, size=1500)]
+    widths = _spy_widths(monkeypatch)
+    _assert_exact(X, rng.permutation(1500), 30)
+    assert min(widths) < 1500
+
+
+def test_underflowing_clusters_skip_nothing(monkeypatch):
+    # scaled squared distances round to 0: the subnormal term swamps every
+    # bound, so every block keeps all columns
+    rng = np.random.default_rng(25)
+    X = _clusters(rng, [300] * 5, 32)[0] * 1e-170
+    widths = _spy_widths(monkeypatch)
+    _assert_exact(X, rng.permutation(1500), 20)
+    assert set(widths) == {1500}
+
+
+def test_uniform_rows_take_one_group(monkeypatch):
+    rng = np.random.default_rng(26)
+    X = rng.uniform(size=(3000, 32))
+    widths = _spy_widths(monkeypatch)
+    rank = rng.permutation(3000)
+    pos, d2 = kernels.neighbor_table(X, rank, 20)
+    assert set(widths) == {3000} and len(widths) == -(-3000 // (kernels.BLOCK_ELEMENTS // 3000))
+    check = rng.choice(3000, size=60, replace=False)
+    rows, dists = full_sort(X, rank, 20, check)
+    assert np.array_equal(pos[check], rows)
+    assert np.array_equal(d2[check], dists)
 
 
 def _assert_matches_oracle(x, rank, k):

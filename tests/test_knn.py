@@ -95,14 +95,20 @@ def test_l2norm_table_invariant_under_global_rotation():
     assert np.array_equal(base.neighbor_ids, rotated.neighbor_ids)
 
 
-@pytest.mark.parametrize("data", ["normal", "integer_grid"])
+@pytest.mark.parametrize("data", ["normal", "integer_grid", "clustered"])
 @pytest.mark.parametrize("kind, d", [("l2norm", 5), ("sort", 5), ("identity", 3)])
 def test_narrower_table_is_the_head_of_a_wider_one(kind, d, data):
-    # widths 1 (sorted scan), 5 (gram path) and 3; the grid makes many exact ties
+    # widths 1 (sorted scan), 5 (gram path) and 3; the grid makes many exact
+    # ties, and 5 clusters far apart make the gram path skip far groups,
+    # whose bound changes with k
     rng = np.random.default_rng(16)
     n, kmax = 120, 12
-    feats = (rng.standard_normal((n, d)) if data == "normal"
-             else rng.integers(-2, 3, size=(n, d)).astype(float))
+    if data == "normal":
+        feats = rng.standard_normal((n, d))
+    elif data == "integer_grid":
+        feats = rng.integers(-2, 3, size=(n, d)).astype(float)
+    else:
+        feats = 10.0 * rng.standard_normal((5, d))[np.arange(n) % 5] + rng.standard_normal((n, d))
     rep = _rep(feats, ids=rng.permutation(3 * n)[:n], kind=kind)
     wide = build_neighbor_table(rep, kmax)
     for k in range(1, kmax + 1):
