@@ -23,7 +23,7 @@ from . import io
 from .core import METHODS, REPRESENTATION_KINDS, subset_accuracy
 from .cutstats import CutstatsConfig
 from .datagen import GROUPS, NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
-from .experiment import (ABLATION_KINDS, ExperimentConfig, StageError, _staged,
+from .experiment import (ABLATION_KINDS, ExperimentConfig, _staged,
                          ablation_configs, run_ablation, run_bounds, run_experiment, select)
 from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
 from .representation import compute_representation
@@ -460,10 +460,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - anything else is a runtime failure
+    except Exception as exc:  # noqa: BLE001 - a failed stage or any other runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

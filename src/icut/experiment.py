@@ -23,8 +23,9 @@ from .cutstats import CutstatsConfig, cutstats_scores
 from .datagen import NoiseSpec, SyntheticSpec, generate_synthetic, inject_label_noise
 from .knn import build_neighbor_table
 from .mlp import MlpConfig, entropy_scores, evaluate, forgetting_counts, train_mlp
-from .representation import (compute_representation, load_external_representation,
-                             perturb_representation)
+from .representation import (RepresentedDataset, compute_representation,
+                             load_external_representation, perturb_representation)
+from .theory import feasibility_window
 
 ABLATION_KINDS = ("invariance_error", "dimension_sweep", "k_sweep", "tau_sweep")
 
@@ -72,6 +73,9 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(as_int(s, "each seed") for s in self.seeds))
         if (self.synthetic is None) == (self.train_path is None):
             raise ValueError("exactly one of synthetic spec and train_path is required")
+        for name in ("train", "test", "embedding"):
+            if getattr(self, name + "_path") == "":
+                raise ValueError(f"the {name} path is empty")
         if self.representation_kind not in REPRESENTATION_KINDS:
             raise ValueError(f"unknown representation kind {self.representation_kind!r}")
         if self.test_path is not None and self.train_path is None:
@@ -96,26 +100,42 @@ class ExperimentConfig:
                                  "(cutstats or herding)")
 
 
+class Stages:
+    """One call's stage outputs, each kept under the inputs its stage reads.
+
+    Seed-free outputs (a file source's datasets, representation and, with no
+    target error, table) live for the call; seeded ones until ``enter`` meets a
+    new seed or source, and only for several configs.  ``width`` is the configs' largest k.
+    """
+
+    def __init__(self, configs: Sequence[ExperimentConfig]):
+        self.width, self._keep = max(cfg.cutstats.k for cfg in configs), len(configs) > 1
+        self._call, self._seeded, self._scope = {}, {}, None
+
+    def enter(self, seed: int, source) -> None:
+        if self._scope != (seed, source):
+            self._seeded, self._scope = {}, (seed, source)
+
+    def get(self, key, seeded: bool, stage: str, fn, *args, **kw):
+        kept = self._seeded if seeded else self._call
+        if key not in kept:
+            kept[key] = _staged(stage, fn, *args, **kw)
+        return kept[key] if self._keep or not seeded else kept.pop(key)
+
+
 def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
-           memo: Optional[dict] = None, width: Optional[int] = None):
+           stages: Optional[Stages] = None):
     """Run the configured selector on ``noisy``; returns (selection, realized_error).
 
     The single selector dispatch: ``run_seed`` and ``icut select`` call it.
     Every score-based method ends in the one ``rank_select`` below; herding and
     full keep their own pick order.  An empty selection (round(tau*n) = 0) is a
     ``[select]`` error, raised before any caller writes or trains on it.
-    ``memo`` keeps each stage output under the swept values it depends on
-    (target error, k), so an ablation builds it once per seed; the table is
-    built ``width`` wide (default k), read to column k.
+    ``stages`` serves what the call's other seeds and configs already built;
+    tables are ``stages.width`` wide (alone: k), read to column k.
     """
-    memo = {} if memo is None else memo
-
-    def once(key, stage, fn, *args, **kw):
-        if key not in memo:
-            memo[key] = _staged(stage, fn, *args, **kw)
-        return memo[key]
-
     tau, k, target = config.cutstats.tau, config.cutstats.k, config.invariance_target
+    stages = Stages([config]) if stages is None else stages
     realized = selected = None
     if config.method == "full":
         scores, selected = np.zeros(noisy.n), noisy.ids.copy()
@@ -123,25 +143,27 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
         forget = config.method == "forget"
-        scorer = once("scorer", "train", train_mlp, noisy, config.mlp, seed, trace=forget)
+        scorer = stages.get(("scorer", forget), True, "train", train_mlp, noisy, config.mlp,
+                            seed, trace=forget)
         scores = forgetting_counts(scorer.trace) if forget else entropy_scores(scorer, noisy)
     else:  # representation-based selectors
-        if config.representation_kind == "external":
-            rep = once("rep", "represent", load_external_representation, noisy,
-                       config.embedding_path)
-        else:
-            rep = once("rep", "represent", compute_representation, noisy,
-                       config.representation_kind)
+        seeded = config.synthetic is not None   # a file's representation is seed-free
+        kind, path = config.representation_kind, config.embedding_path
+        rep = stages.get(("rep", kind, path), seeded, "represent", *(
+            (load_external_representation, noisy, path) if kind == "external"
+            else (compute_representation, noisy, kind)))
+        rep = RepresentedDataset(noisy, rep.representations, kind)   # this seed's labels
         if target is not None:
-            rep, realized = once(("perturbed", target), "represent", perturb_representation,
-                                 rep, target, seed=seed)
+            rep, realized = stages.get(("perturbed", target), True, "represent",
+                                       perturb_representation, rep, target, seed=seed)
         if config.method == "herding":
             herded = _staged("select", herding_select, rep, tau)
             scores, selected = herded.scores, herded.selected
         else:
-            table = once(("table", target), "select", build_neighbor_table, rep, width or k)
-            scores = once(("scores", target, k), "select", cutstats_scores, rep,
-                          table.head(k), config.cutstats)
+            table = stages.get(("table", kind, path, target), seeded or target is not None,
+                               "select", build_neighbor_table, rep, stages.width)
+            scores = stages.get(("scores", kind, path, target, k), True, "select",
+                                cutstats_scores, rep, table.head(k), config.cutstats)
     if selected is None:
         selected = rank_select(scores, noisy.ids, tau)
     if selected.size == 0:
@@ -150,26 +172,24 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
     return SelectionResult(scores=scores, selected=selected), realized
 
 
-def _corrupted_data(config: ExperimentConfig, seed: int):
-    """The seed's training split with its noisy labels, and its test split (or None)."""
-    if config.synthetic is not None:
-        train, test = _staged("generate", generate_synthetic, config.synthetic, seed)
-    else:
-        train = _staged("load", io.read_dataset_csv, config.train_path)
-        test = _staged("load", io.read_dataset_csv, config.test_path) if config.test_path else None
-    if config.noise.flip_probability > 0.0:
-        train = _staged("corrupt", inject_label_noise, train, config.noise, seed)
-    return train, test
-
-
-def run_seed(config: ExperimentConfig, seed: int, data=None, memo=None, width=None
+def run_seed(config: ExperimentConfig, seed: int, stages: Optional[Stages] = None
              ) -> Tuple[Metrics, dict]:
     """One deterministic pipeline pass; extras carry the realized knob values.
 
-    An ablation shares a seed's ``_corrupted_data`` and ``select`` memo across points.
+    ``stages`` serves what the call's other seeds and configs already built.
     """
-    noisy, test = data or _corrupted_data(config, seed)
-    selection, realized = select(config, noisy, seed, memo, width)
+    stages = Stages([config]) if stages is None else stages
+    stages.enter(seed, (config.synthetic, config.train_path))
+    if config.synthetic is not None:
+        train, test = stages.get(("generate",), True, "generate", generate_synthetic,
+                                 config.synthetic, seed)
+    else:
+        train, test = (None if path is None else
+                       stages.get(("load", path), False, "load", io.read_dataset_csv, path)
+                       for path in (config.train_path, config.test_path))
+    noisy = train if config.noise.flip_probability == 0.0 else stages.get(
+        ("corrupt", config.noise), True, "corrupt", inject_label_noise, train, config.noise, seed)
+    selection, realized = select(config, noisy, seed, stages)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:
@@ -207,9 +227,15 @@ def _emit(output_dir: str, stem: str, header, csv_rows, txt_rows) -> Tuple[str, 
     return csv_path, txt_path
 
 
+def _runs(configs: Sequence[ExperimentConfig]) -> list:
+    """Per config, its ``run_seed`` results by ascending seed; seeds are the outer loop."""
+    stages, seeds = Stages(configs), sorted(configs[0].seeds)
+    return list(zip(*[[run_seed(cfg, seed, stages) for cfg in configs] for seed in seeds]))
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """All seeds, then one report pair (CSV fractions, text percentages)."""
-    per_seed = [(seed, run_seed(config, seed)[0]) for seed in sorted(config.seeds)]
+    per_seed = [(seed, m) for seed, (m, _) in zip(sorted(config.seeds), _runs([config])[0])]
     metrics = [m for _, m in per_seed]
     summary = summarize_runs(metrics)
     header = ["seed"] + list(METRIC_FIELDS)
@@ -229,8 +255,6 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 def run_bounds(params, d_range: Sequence[int], output_dir: str = ".") -> dict:
     """Feasibility window over d, written as the bounds CSV."""
-    from .theory import feasibility_window
-
     report = feasibility_window(params, d_range)
     os.makedirs(output_dir, exist_ok=True)
     path = os.path.join(output_dir, "bounds.csv")
@@ -258,19 +282,12 @@ def ablation_configs(kind: str, config: ExperimentConfig, grid: Sequence) -> lis
 def run_ablation(kind: str, config: ExperimentConfig, grid: Sequence) -> dict:
     """A row per grid point, over every seed, with the realized knob values.
 
-    Seeds are the outer loop: a seed obtains and corrupts its data once (not in
-    a dimension sweep: they depend on d), and ``select`` builds each later stage
-    once unless the swept value changes it. A k sweep builds one table at its
-    largest k, a tau sweep scores once; selection and the MLP run per point.
+    The points share one ``Stages``, so each stage runs once per seed (per call
+    if seed-free) unless the swept value changes it: a k sweep builds one table
+    at its largest k, a tau sweep scores once, and a dimension sweep holds one
+    point at a time.  Selection and the MLP run per point.
     """
-    configs = ablation_configs(kind, config, grid)
-    width = max(cfg.cutstats.k for cfg in configs)
-    runs = [[] for _ in configs]
-    for seed in sorted(config.seeds):
-        # a dimension sweep's data depend on d, so its points share nothing
-        shared = () if kind == "dimension_sweep" else (_corrupted_data(config, seed), {}, width)
-        for cfg, point_runs in zip(configs, runs):
-            point_runs.append(run_seed(cfg, seed, *shared))
+    runs = _runs(ablation_configs(kind, config, grid))
     header = [kind, "realized", "subset_acc_mean", "subset_acc_std",
               "classifier_acc_mean", "classifier_acc_std"]
     csv_rows, txt_rows, points = [], [], []

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import LabeledDataset, SelectionResult
+from .core import LabeledDataset, SelectionResult, id_positions
 
 
 def format_float(v: float) -> str:
@@ -219,7 +219,13 @@ def write_subset(ids: np.ndarray, path) -> None:
 def read_subset(path) -> np.ndarray:
     text = _read_text(path)
     table, _ = _read_table(text, _split_lines(text), [("id", "i8")], "subset line")
-    return _column(table, "id")
+    ids = _column(table, "id")
+    if ids.size == 0:
+        raise ValueError("subset file has no ids")
+    repeats = np.flatnonzero(id_positions(ids, ids) != np.arange(ids.size))  # id seen earlier
+    if repeats.size:
+        raise ValueError(f"subset line {repeats[0] + 1} repeats id {ids[repeats[0]]}")
+    return ids
 
 
 # --- feasibility-window CSV and generic report helpers ----------------------

@@ -6,8 +6,10 @@ reports must be byte-equal, and each op must yield one subset accuracy
 per selection it makes.  The op also runs under the tracer, which binds
 to library signatures: its report must equal the untraced one, every
 sampled neighbor-table row must match the exact scan, and every traced
-layer must still resolve.  The external workload's embedding is also
-built at full size, where its classes form pivot groups in the gram path.
+layer must still resolve.  Three traced ops per workload make pinned
+per-op calls of every layer, the benchmark's per-layer ``.calls`` metrics.
+The external workload's embedding is also built at full size, where its
+classes form pivot groups in the gram path.
 """
 
 import importlib.util
@@ -74,6 +76,39 @@ def test_traced_op_reports_the_untraced_bytes_and_checks_its_tables(tmp_path, mo
     assert checked > 0 and matched == checked
     assert COUNTED[name] <= {span["name"] for span in tracer.dump()}
     assert [n for n in tracing.LAYERS if tracing._resolve(n) is None] == STALE_LAYERS
+
+
+# Per-op calls of each traced layer over three ops at the small size, as the
+# benchmark's per-layer metrics read them; layers absent here make none.  A
+# refactor that leaves each stage's work alone leaves these counts alone.
+CALLS = {
+    "orth-l2norm-perm-baselines": {
+        "datagen.generate_synthetic": 4, "datagen.inject_label_noise": 4, "io.write_csv": 4,
+        "mlp.evaluate": 4, "mlp.train_mlp": 6, "representation.compute_representation": 2,
+        "kernels.herding_greedy": 2, "knn.build_neighbor_table": 1, "kernels.neighbor_table": 1,
+        "cutstats.cutstats_scores": 1, "baselines.herding_select": 1, "mlp.entropy_scores": 1,
+        "mlp.forgetting_counts": 1},
+    "external-ksweep": {
+        "io.read_dataset_csv": 1, "io.read_embedding_csv": 1,
+        "representation.load_external_representation": 1, "knn.build_neighbor_table": 1,
+        "kernels.neighbor_table": 1, "datagen.inject_label_noise": 1, "io.write_csv": 1,
+        "cutstats.cutstats_scores": 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_traced_ops_make_the_pinned_calls_per_layer(tmp_path, monkeypatch, name):
+    workloads = _load(monkeypatch, "workloads")
+    tracing = _load(monkeypatch, "tracing")
+    workload = workloads.WORKLOADS[name]
+    inputs = workload.prepare(0, str(tmp_path / "inputs"), True)
+    tracer = tracing.Tracer()
+    seeds = workloads.data_seeds(0)
+    for op, seed in enumerate(seeds):
+        tracer.run_op(op, workload.op, inputs, seed, str(tmp_path / f"op{op}"))
+    metrics, _ = tracer.layer_metrics(len(seeds))
+    calls = {layer: metrics[layer + ".calls"][0] for layer in tracing.LAYERS}
+    assert calls == {layer: CALLS[name].get(layer, 0) for layer in tracing.LAYERS}
 
 
 def test_full_size_external_embedding_skips_far_groups_and_stays_exact(tmp_path, monkeypatch):

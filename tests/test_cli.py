@@ -350,6 +350,22 @@ def test_train_subset_id_past_int64_is_a_load_error_naming_its_line(capsys, work
     assert err == "error: [load] malformed subset line 2\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("", "subset file has no ids"),
+    ("0\n5\n0\n", "subset line 3 repeats id 0"),
+], ids=["empty", "repeated_id"])
+def test_train_bad_subset_file_is_a_load_error_naming_it(capsys, workdir, tmp_path, text,
+                                                         message):
+    subset = tmp_path / "subset.txt"
+    subset.write_text(text)
+    code, _, err = run_cli(capsys, "train", "--in", str(workdir / "noisy.csv"),
+                           "--subset", str(subset), "--epochs", "1",
+                           "--out", str(tmp_path / "model.bin"))
+    assert code == 1
+    assert err == f"error: [load] {message}\n"
+    assert not (tmp_path / "model.bin").exists()
+
+
 def test_select_non_numeric_embedding_value_is_a_represent_error_naming_its_row(
         capsys, workdir, tmp_path):
     ds = read_dataset_csv(workdir / "noisy.csv")
@@ -525,6 +541,24 @@ def test_exp_ignored_path_is_a_usage_error_before_data_generation(
                            "--out-dir", str(tmp_path), *argv)
     assert code == 2
     assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["--train", ""], "train"),
+    (["--train", "{train}", "--test", ""], "test"),
+    (["--train", "{train}", "--kind", "external", "--embedding", ""], "embedding"),
+], ids=["train", "test", "embedding"])
+def test_exp_empty_path_is_a_usage_error_naming_it(capsys, workdir, tmp_path, monkeypatch,
+                                                   argv, name):
+    # an empty --test once skipped training and reported 0.00 classifier accuracy
+    def no_read(*args, **kw):
+        raise AssertionError("a dataset was read")
+    monkeypatch.setattr("icut.io.read_dataset_csv", no_read)
+    argv = [a.format(train=workdir / "train.csv") for a in argv]
+    code, _, err = run_cli(capsys, "exp", *argv, "--seed-list", "0", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err == f"error: the {name} path is empty\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,13 +1,16 @@
 """End-to-end pipeline runs, sweep driver, and report emission."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from icut import experiment
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, NoiseSpec,
-                  StageError, SyntheticSpec, run_ablation, run_bounds,
+                  StageError, SyntheticSpec, generate_synthetic, run_ablation, run_bounds,
                   run_experiment, run_seed)
-from icut.io import write_dataset_csv
+from icut.io import write_dataset_csv, write_embedding_csv
 from icut.theory import WindowParams, feasibility_window
 from conftest import random_dataset, read_csv
 
@@ -42,6 +45,14 @@ def test_config_refuses_paths_it_would_ignore():
         tiny_config(test_path="test.csv")
     with pytest.raises(ValueError, match="an embedding path needs the external representation"):
         tiny_config(embedding_path="emb.csv")
+
+
+@pytest.mark.parametrize("name", ["train", "test", "embedding"])
+def test_config_refuses_an_empty_path_by_name(name):
+    paths = dict(train_path="train.csv", test_path="test.csv", embedding_path="emb.csv")
+    paths[f"{name}_path"] = ""
+    with pytest.raises(ValueError, match=f"^the {name} path is empty$"):
+        ExperimentConfig(representation_kind="external", **paths)
 
 
 def test_config_rejects_empty_seeds():
@@ -285,6 +296,21 @@ STAGES = ("generate_synthetic", "inject_label_noise", "compute_representation",
           "perturb_representation", "build_neighbor_table", "cutstats_scores")
 
 
+def _count_calls(monkeypatch, module, names):
+    """Calls of each of ``module``'s ``names`` from here on, by name."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 @pytest.mark.parametrize("kind, grid, per_point", [
     ("k_sweep", [3, 7, 5], {"cutstats_scores"}),
     ("tau_sweep", [0.3, 0.5, 0.7], set()),
@@ -294,22 +320,113 @@ STAGES = ("generate_synthetic", "inject_label_noise", "compute_representation",
 ])
 def test_run_ablation_builds_unswept_stages_once_per_seed(tmp_path, monkeypatch,
                                                           kind, grid, per_point):
-    calls = dict.fromkeys(STAGES, 0)
-
-    def counted(name, fn):
-        def wrapper(*args, **kw):
-            calls[name] += 1
-            return fn(*args, **kw)
-        return wrapper
-
-    for name in STAGES:
-        monkeypatch.setattr(experiment, name, counted(name, getattr(experiment, name)))
+    calls = _count_calls(monkeypatch, experiment, STAGES)
     cfg = tiny_config(output_dir=str(tmp_path), seeds=(1, 0), train_downstream=False)
     run_ablation(kind, cfg, grid)
     expected = {name: 2 * (3 if name in per_point else 1) for name in STAGES}
     if kind != "invariance_error":
         expected["perturb_representation"] = 0
     assert calls == expected
+
+
+@pytest.fixture
+def files(tmp_path):
+    """Train and test CSVs of one generated data set, and an embedding CSV of its train rows."""
+    train, test = generate_synthetic(TINY_SPEC, 3)
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("train", "test", "embedding")}
+    write_dataset_csv(train, paths["train"])
+    write_dataset_csv(test, paths["test"])
+    write_embedding_csv(train.ids, 2.0 * train.features, paths["embedding"])
+    return paths
+
+
+FILE_STAGES = ("read_dataset_csv", "read_embedding_csv", "load_external_representation",
+               "compute_representation", "perturb_representation", "build_neighbor_table",
+               "inject_label_noise", "cutstats_scores")
+
+
+@pytest.mark.parametrize("kind, grid, expected", [
+    # one config with a test split: each file once, corruption and scores per seed
+    (None, None, {"read_dataset_csv": 2, "read_embedding_csv": 1,
+                  "load_external_representation": 1, "build_neighbor_table": 1,
+                  "inject_label_noise": 2, "cutstats_scores": 2}),
+    ("k_sweep", [3, 7, 5], {"read_dataset_csv": 1, "read_embedding_csv": 1,
+                            "load_external_representation": 1, "build_neighbor_table": 1,
+                            "inject_label_noise": 2, "cutstats_scores": 6}),
+    ("tau_sweep", [0.3, 0.5, 0.7], {"read_dataset_csv": 1, "read_embedding_csv": 1,
+                                    "load_external_representation": 1,
+                                    "build_neighbor_table": 1, "inject_label_noise": 2,
+                                    "cutstats_scores": 2}),
+    # a target error makes the representation, so the table, seeded
+    ("invariance_error", [0.0, 0.1, 0.2], {"read_dataset_csv": 1, "compute_representation": 1,
+                                           "perturb_representation": 6,
+                                           "build_neighbor_table": 6, "inject_label_noise": 2,
+                                           "cutstats_scores": 6}),
+], ids=["experiment", "k_sweep", "tau_sweep", "invariance_error"])
+def test_file_source_builds_seed_free_stages_once_per_call(tmp_path, monkeypatch, files,
+                                                           kind, grid, expected):
+    reads = _count_calls(monkeypatch, experiment.io, FILE_STAGES[:2])
+    stages = _count_calls(monkeypatch, experiment, FILE_STAGES[2:])
+    cfg = ExperimentConfig(train_path=files["train"], cutstats=CutstatsConfig(k=5, tau=0.5),
+                           mlp=TINY_MLP, seeds=(1, 0), output_dir=str(tmp_path / "out"))
+    if kind == "invariance_error":
+        run_ablation(kind, cfg, grid)
+    else:
+        cfg = replace(cfg, representation_kind="external", embedding_path=files["embedding"])
+        if kind is None:
+            run_experiment(replace(cfg, test_path=files["test"]))
+        else:
+            run_ablation(kind, replace(cfg, train_downstream=False), grid)
+    assert {**reads, **stages} == {name: expected.get(name, 0) for name in FILE_STAGES}
+
+
+def _track_tables(monkeypatch, refs):
+    """Keep a weak reference to each table the pipeline builds."""
+    build = experiment.build_neighbor_table
+
+    def tracked(*args, **kw):
+        table = build(*args, **kw)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(experiment, "build_neighbor_table", tracked)
+
+
+def test_one_config_call_releases_its_table_before_training(tmp_path, monkeypatch):
+    tables, held = [], []
+    _track_tables(monkeypatch, tables)
+    train_mlp = experiment.train_mlp
+
+    def training(*args, **kw):
+        held.append(sum(ref() is not None for ref in tables))
+        return train_mlp(*args, **kw)
+
+    monkeypatch.setattr(experiment, "train_mlp", training)
+    run_experiment(tiny_config(seeds=(0, 1), output_dir=str(tmp_path / "experiment")))
+    assert len(tables) == 2 and held == [0, 0]
+    # a k sweep's later points read the table, so it outlives the first point's training
+    tables.clear()
+    held.clear()
+    run_ablation("k_sweep", tiny_config(output_dir=str(tmp_path / "sweep")), [3, 5])
+    assert len(tables) == 1 and held == [1, 1]
+
+
+def test_dimension_sweep_releases_each_point_before_the_next(tmp_path, monkeypatch):
+    data, tables, live = [], [], []
+    _track_tables(monkeypatch, tables)
+    generate = experiment.generate_synthetic
+
+    def generating(*args, **kw):
+        live.append(sum(ref() is not None for ref in data + tables))
+        out = generate(*args, **kw)
+        data.extend(weakref.ref(split) for split in out)
+        return out
+
+    monkeypatch.setattr(experiment, "generate_synthetic", generating)
+    run_ablation("dimension_sweep", tiny_config(output_dir=str(tmp_path), seeds=(1, 0)),
+                 [4, 5, 6])
+    assert len(data) == 12 and len(tables) == 6
+    assert live == [0] * 6
 
 
 def test_run_ablation_dimension_sweep_requires_synthetic(tmp_path):

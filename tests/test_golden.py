@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, SyntheticSpec,
-                  run_ablation, run_experiment)
+                  generate_synthetic, run_ablation, run_experiment)
+from icut.io import write_dataset_csv, write_embedding_csv
 from conftest import read_csv
 
 SPEC = SyntheticSpec(group="orthogonal", d=6, n_train=400, n_test=100)
@@ -96,3 +97,51 @@ def test_invariance_error_report_realizes_its_targets(tmp_path):
     header, rows = read_csv(result["csv_path"])
     realized = [float(row[header.index("realized")]) for row in rows]
     assert realized == pytest.approx(grid, rel=1e-12, abs=0.0)
+
+
+# File sources: one generated data set written as train and test CSVs, and
+# an embedding CSV of its training rows.  Their seed-free stages (load,
+# represent, table) feed every seed of a call.
+@pytest.fixture
+def files(tmp_path):
+    train, test = generate_synthetic(SPEC, 7)
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("train", "test", "embedding")}
+    write_dataset_csv(train, paths["train"])
+    write_dataset_csv(test, paths["test"])
+    write_embedding_csv(train.ids, 2.0 * train.features[:, :4] + 1.0, paths["embedding"])
+    return paths
+
+
+def _file_config(tmp_path, files, **overrides):
+    return _config(tmp_path, synthetic=None, train_path=files["train"], **overrides)
+
+
+def test_file_source_experiment_report_bytes_are_pinned(tmp_path, files):
+    config = _file_config(tmp_path, files, test_path=files["test"],
+                          representation_kind="identity")
+    assert _digests(run_experiment(config)) == (
+        "76a2f4f93d2a334d4622c72b874a79800cc20cd957fe5c21e56d6cdec592bac3",
+        "1f51c71e8452f110c6eb258631b3bf489b54e0a174425bf90ad0e8ee6af117f3")
+
+
+def test_external_experiment_report_bytes_are_pinned(tmp_path, files):
+    config = _file_config(tmp_path, files, representation_kind="external",
+                          embedding_path=files["embedding"], seeds=(0, 1, 2))
+    assert _digests(run_experiment(config)) == (
+        "929048f6cd107a34a566b58cf22c562af9a15a6d6f95284cfa48f085d1205b58",
+        "8c009a455fdc5f6c7698ba1e8d21760d3dae25b7955d36c38da5b0e057923d06")
+
+
+def test_external_k_sweep_report_bytes_are_pinned(tmp_path, files):
+    config = _file_config(tmp_path, files, representation_kind="external",
+                          embedding_path=files["embedding"])
+    assert _digests(run_ablation("k_sweep", config, (3, 8))) == (
+        "a7799a5084c3b9d666454aafc600742cc872ca9497adfd82863883414da0069f",
+        "61580f0ea931e2b06ebc690b23e445ba251be962ab3fa5c5fd7622e3eb72363e")
+
+
+def test_file_source_invariance_error_report_bytes_are_pinned(tmp_path, files):
+    config = _file_config(tmp_path, files, test_path=files["test"])
+    assert _digests(run_ablation("invariance_error", config, (0.0, 0.2))) == (
+        "bf4c9eab1f50be3a1a8c7a41dbe7449ee3873c1d0e78d23b5d11ac18c882e0a5",
+        "5eedf3367053df43ecc37b839c531696c710ba7d5ff123104ffb26394472d949")

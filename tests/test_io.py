@@ -174,11 +174,23 @@ def test_subset_names_the_line_of_an_id_past_int64(tmp_path, line):
         read_subset(path)
 
 
-def test_empty_subset_reads_as_no_ids(tmp_path):
+def test_empty_subset_file_is_refused(tmp_path):
     path = tmp_path / "subset.txt"
     path.write_text("")
-    ids = read_subset(path)
-    assert ids.dtype == np.int64 and ids.size == 0
+    with pytest.raises(ValueError, match="^subset file has no ids$"):
+        read_subset(path)
+
+
+@pytest.mark.parametrize("text,line,repeated", [
+    ("9\n3\n11\n3\n", 4, 3),
+    ("5\n7\n7\n5\n", 3, 7),      # the first line that repeats an earlier one
+    ("2\n2\n2\n", 2, 2),
+], ids=["last", "first_of_two", "run"])
+def test_subset_names_the_line_that_repeats_an_id(tmp_path, text, line, repeated):
+    path = tmp_path / "subset.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^subset line {line} repeats id {repeated}$"):
+        read_subset(path)
 
 
 def test_subset_of_blank_lines_is_malformed_without_a_warning(tmp_path, recwarn):
@@ -190,11 +202,11 @@ def test_subset_of_blank_lines_is_malformed_without_a_warning(tmp_path, recwarn)
 
 
 def test_subset_round_trip(tmp_path):
-    ids = np.array([9, 3, 11, 3])
+    ids = np.array([9, 3, 11, 2])
     path = tmp_path / "subset.txt"
     write_subset(ids, path)
     assert np.array_equal(read_subset(path), ids)
-    assert path.read_text() == "9\n3\n11\n3\n"
+    assert path.read_text() == "9\n3\n11\n2\n"
 
 
 # --- the C reader and the exact row loop it falls back to --------------------
