@@ -13,13 +13,13 @@ import warnings
 import numpy as np
 
 from . import kernels
-from .core import SelectionResult, round_half_up, seeded_rng
+from .core import SelectionResult, as_int, round_half_up, seeded_rng
 from .representation import RepresentedDataset
 
 
 def random_scores(n: int, seed: int) -> np.ndarray:
     """Uniform scores; ranking them draws round(tau*n) ids without replacement."""
-    return seeded_rng(seed, 29).random(n)
+    return seeded_rng(seed, 29).random(as_int(n, "n"))
 
 
 def _class_shares(labels: np.ndarray, num_classes: int, total: int) -> np.ndarray:

@@ -62,6 +62,8 @@ def cutstats_scores(rep: RepresentedDataset, table: NeighborTable,
                     config: CutstatsConfig) -> np.ndarray:
     """Per-sample z-scores; smaller = more consistent with its neighborhood."""
     ds = rep.base
+    if table.neighbor_rows.shape[0] != ds.n:
+        raise ValueError(f"table has {table.neighbor_rows.shape[0]} rows, dataset has {ds.n}")
     priors = class_priors(ds.noisy_labels, ds.num_classes, config)
     p_i = priors[ds.noisy_labels]
     if np.any(p_i <= 0.0) or np.any(p_i >= 1.0):

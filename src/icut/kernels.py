@@ -22,7 +22,8 @@ clustered rows) is marked again in float64, as is every later block.
 ``_rescore`` ranks either path's candidates by exact squared distances of
 the input rows, ties broken by ascending rank, in chunks of rows sized
 from their own candidate counts, so that runs of ties keep to the same
-memory.  Both paths thus return the same (distance, ascending-rank)
+memory, and writes each table row once, in the caller's order, through its
+path's scan order.  Both paths thus return one (distance, ascending-rank)
 table, exact under any translation or scale of the features that keeps
 squared distances finite in float64.  Larger inputs (entries from about
 1e153 up) and non-finite ones raise ``ValueError``.  Herding scans every
@@ -185,8 +186,7 @@ def _gram_scan(X: np.ndarray, rank: np.ndarray, k: int):
         return _scan(X, rank, k, C, subnormal, [(0, n, [(0, n)])])
     order, bands = grouped
     # Scanned in group order, whose nearby rows rescore faster than the
-    # caller's; the table is written back in the caller's order.  Rebinding
-    # C frees the rows in the caller's order before the scan.
+    # caller's.  Rebinding C frees the rows in the caller's order first.
     X, rank, C = X[order], rank[order], C[order]
     return _scan(X, rank, k, C, subnormal, bands, order)
 
@@ -285,8 +285,6 @@ def _groups(c, sq, k, subnormal):
         if far[j] <= 0.0:
             break
         picks.append(j)
-    if len(picks) == 1:
-        return None
     pivots = sample[picks]
     lam = 4.0 * (m + 3) * np.finfo(np.float64).eps * sq.max()
     slack = (2.0 * np.sqrt(lam), 8.0 * (lam + subnormal))
@@ -368,8 +366,8 @@ def _rescore_rows(X, rank, counts, candidates, pos, d2, names=None):
     (r, c): candidate t is column c[t] of table row r[t].  A chunk takes rows
     while rows x its widest row x (m + 4) fits RESCORE_ELEMENTS (one row at
     least), so a row of many candidates only shrinks the chunks around it.
-    Where X holds the caller's rows in another order, ``names[i]`` is the
-    caller's index of row i, and the table is written in the caller's terms.
+    ``names[i]`` is the caller's index of row i of X (None: the identity);
+    every scan order writes the table through it, in the caller's order.
     """
     budget, r0 = RESCORE_ELEMENTS // (X.shape[1] + 4), 0
     while r0 < counts.size:
@@ -386,7 +384,7 @@ def _rescore(X, rank, r, c, counts, pos, d2, names=None):
     Exact squared distances of every candidate (laid out as in
     ``_rescore_rows``), one row per table row, padded with (inf, rank n),
     which sorts last; the first k columns in (distance, rank) order are the
-    row's neighbors.
+    row's neighbors, written through ``names`` (as in ``_rescore_rows``).
     """
     n, k, i0 = X.shape[0], pos.shape[1], r[0]
     diff = X.take(c, axis=0)
@@ -456,11 +454,9 @@ def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
         c = np.arange(int(s.sum())) + np.repeat(b - (np.cumsum(s) - s), s)
         return np.repeat(p[r0:r1], counts[r0:r1]), c
 
-    sel, d2 = np.empty((n, k), dtype=np.int64), np.empty((n, k))
-    _rescore_rows(xs[:, None], rank[order], counts, candidates, sel, d2)
-    back = np.empty_like(order)
-    back[order] = p                            # sorted place of each row
-    return order[sel[back]], d2[back]
+    pos, d2 = np.empty((n, k), dtype=np.int64), np.empty((n, k))
+    _rescore_rows(xs[:, None], rank[order], counts, candidates, pos, d2, order)
+    return pos, d2
 
 
 def _first_true(pred, lo, hi):

@@ -8,6 +8,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
+from .core import as_int
 from .representation import RepresentedDataset
 
 
@@ -35,6 +36,7 @@ class NeighborTable:
 
     def head(self, k: int) -> "NeighborTable":
         """The first k columns: under the (distance, id) order, the k-nearest table."""
+        k = as_int(k, "k")
         if not (1 <= k <= self.k):
             raise ValueError(f"k must satisfy 1 <= k <= {self.k}, got k={k}")
         return NeighborTable(k=k, neighbor_ids=self.neighbor_ids[:, :k],
@@ -44,7 +46,7 @@ class NeighborTable:
 
 def build_neighbor_table(rep: RepresentedDataset, k: int) -> NeighborTable:
     """Brute-force exact l2 nearest neighbors in representation space."""
-    n = rep.base.n
+    n, k = rep.base.n, as_int(k, "k")
     if not (1 <= k <= n - 1):
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")
     ids = rep.base.ids
@@ -56,7 +58,8 @@ def build_neighbor_table(rep: RepresentedDataset, k: int) -> NeighborTable:
         k=k,
         neighbor_ids=ids[rows],
         neighbor_rows=rows,
-        distances=np.sqrt(np.maximum(d2, 0.0)),
+        # sums of squares, never < 0 or -0.0, nor the inf padding: rooted in place
+        distances=np.sqrt(d2, out=d2),
     )
 
 

@@ -128,7 +128,7 @@ def feasibility_window(params: WindowParams, d_range: Sequence[int]) -> Feasibil
     their d = 1 values.  permutation: sorting folds d! equivalent
     orderings onto one region, multiplying U by d!.
     """
-    dims = [int(d) for d in d_range]
+    dims = [as_int(d, "d") for d in d_range]
     if len(dims) == 0:
         raise ValueError("empty d_range")
     if min(dims) < 1:

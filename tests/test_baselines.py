@@ -48,6 +48,12 @@ def test_random_subset_accuracy_tracks_clean_fraction():
     assert abs(subset_accuracy(sel, noisy) - clean_fraction) <= 4 * sigma
 
 
+def test_random_count_must_be_an_integer():
+    with pytest.raises(ValueError, match="^n must be an integer, got 2.5"):
+        random_scores(2.5, 0)
+    assert np.array_equal(random_scores(4.0, 0), random_scores(4, 0))
+
+
 def test_random_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
         _random_ids(random_dataset(4, 1), 0.0)

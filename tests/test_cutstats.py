@@ -40,6 +40,14 @@ def test_config_stores_integral_k_as_int():
     assert CutstatsConfig(k=5.0).k == 5
 
 
+def test_table_of_another_size_is_refused_by_name():
+    rep = compute_representation(random_dataset(50, 3, seed=31), "identity")
+    table = build_neighbor_table(compute_representation(random_dataset(40, 3, seed=31),
+                                                        "identity"), 5)
+    with pytest.raises(ValueError, match="^table has 40 rows, dataset has 50$"):
+        cutstats_scores(rep, table, CutstatsConfig(k=5))
+
+
 def test_empirical_priors_are_label_frequencies():
     labels = np.array([0, 0, 0, 1])
     priors = class_priors(labels, 2, CutstatsConfig())

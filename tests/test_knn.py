@@ -7,7 +7,7 @@ import pytest
 
 from icut import (LabeledDataset, build_neighbor_table, compute_representation,
                   estimate_class_accuracies, herding_select, knn_predict, kernels)
-from conftest import haar_rotation, oracle_neighbors, random_dataset
+from conftest import full_sort, haar_rotation, oracle_neighbors, random_dataset
 
 
 def _rep(features, ids=None, kind="identity"):
@@ -56,6 +56,60 @@ def test_k_bounds_are_enforced():
     for k in (0, 3):
         with pytest.raises(ValueError, match="k must satisfy"):
             build_neighbor_table(rep, k)
+
+
+@pytest.mark.parametrize("k", [2.5, float("nan"), "3"])
+def test_non_integer_k_is_a_named_error(k):
+    table = build_neighbor_table(_rep(np.arange(8.0)), 3)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        build_neighbor_table(_rep(np.arange(8.0)), k)
+    with pytest.raises(ValueError, match="^k must be an integer"):
+        table.head(k)
+
+
+@pytest.mark.parametrize("k", [3.0, np.float64(3.0), np.int32(3)])
+def test_integral_k_of_any_type_builds_the_int_table(k):
+    rep = _rep(np.arange(8.0) ** 2)
+    table, exact = build_neighbor_table(rep, k), build_neighbor_table(rep, 3)
+    assert type(table.k) is int and type(exact.head(k).k) is int
+    assert np.array_equal(table.neighbor_rows, exact.neighbor_rows)
+    assert np.array_equal(exact.head(k).neighbor_rows, exact.neighbor_rows)
+
+
+@pytest.mark.parametrize("data, d", [("normal", 1), ("normal", 4), ("clustered", 4)])
+def test_distances_are_the_roots_of_the_kernel_squares(data, d):
+    # the sorted scan, the one-group gram path and the grouped one (5
+    # clusters far apart); duplicated rows put 0.0 in the table, whose sign
+    # bit must be clear
+    rng = np.random.default_rng(23)
+    n = 200
+    feats = rng.standard_normal((n, d))
+    if data == "clustered":
+        feats += 10.0 * rng.standard_normal((5, d))[np.arange(n) % 5]
+    feats[150:] = feats[:50]
+    ids = rng.permutation(n)                  # its own rank: ids are 0..n-1
+    rep = _rep(feats, ids=ids)
+    table = build_neighbor_table(rep, 6)
+    rows, d2 = kernels.neighbor_table(rep.representations, ids, 6)
+    assert np.array_equal(table.neighbor_rows, rows)
+    assert np.array_equal(table.distances.view(np.int64), np.sqrt(d2).view(np.int64))
+    zero = table.distances == 0.0
+    assert zero.any() and not np.signbit(table.distances[zero]).any()
+
+
+def test_width_one_table_on_ties_matches_full_sort():
+    # six values over 300 shuffled rows and ranks: most distances tie, and
+    # the sorted scan's (value, rank) order is far from the identity
+    rng = np.random.default_rng(24)
+    x = rng.integers(0, 6, size=(300, 1)).astype(float)
+    ids = rng.permutation(300)
+    assert not np.array_equal(np.lexsort((ids, x[:, 0])), np.arange(300))
+    rows, d2 = full_sort(x, ids, 12, range(300))
+    pos, kernel_d2 = kernels.neighbor_table(x, ids, 12)
+    table = build_neighbor_table(_rep(x, ids=ids), 12)
+    assert np.array_equal(pos, rows) and np.array_equal(kernel_d2, d2)
+    assert np.array_equal(table.neighbor_rows, rows)
+    assert np.array_equal(table.distances, np.sqrt(d2))
 
 
 def test_matches_independent_scan_on_random_instances():

@@ -150,6 +150,14 @@ def test_window_permutation_mode_adds_log_factorial():
         assert s_row[2] == pytest.approx(p_row[2] + math.lgamma(d + 1.0), abs=1e-12)
 
 
+def test_window_rejects_fractional_dimensions():
+    params = WindowParams(**WORKED)
+    with pytest.raises(ValueError, match="^d must be an integer, got 2.5"):
+        feasibility_window(params, [2.5, 3.7])
+    assert (feasibility_window(params, [2.0, np.int64(3)]).rows
+            == feasibility_window(params, [2, 3]).rows)
+
+
 def test_window_rejects_bad_range():
     params = WindowParams(**WORKED)
     with pytest.raises(ValueError, match="empty d_range"):
