@@ -19,7 +19,10 @@ from .representation import RepresentedDataset
 
 def random_scores(n: int, seed: int) -> np.ndarray:
     """Uniform scores; ranking them draws round(tau*n) ids without replacement."""
-    return seeded_rng(seed, 29).random(as_int(n, "n"))
+    n = as_int(n, "n")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got n={n}")
+    return seeded_rng(seed, 29).random(n)
 
 
 def _class_shares(labels: np.ndarray, num_classes: int, total: int) -> np.ndarray:

@@ -20,13 +20,16 @@ of its integer view, whose order is the value order for non-negative
 floats.  A block that marks more than 2k candidates per row (tightly
 clustered rows) is marked again in float64, as is every later block.
 ``_rescore`` ranks either path's candidates by exact squared distances of
-the input rows, ties broken by ascending rank, in chunks of rows sized
-from their own candidate counts, so that runs of ties keep to the same
-memory, and writes each table row once, in the caller's order, through its
-path's scan order.  Both paths thus return one (distance, ascending-rank)
-table, exact under any translation or scale of the features that keeps
-squared distances finite in float64.  Larger inputs (entries from about
-1e153 up) and non-finite ones raise ``ValueError``.  Herding scans every
+the input rows, in chunks of rows sized from their own candidate counts,
+so that runs of ties keep to the same memory.  It sorts each row by
+distance alone and reads ranks only for the rows with a tie among their
+k + 1 nearest candidates (``_by_rank``); in every other row the k nearest
+lie strictly below the rest, so their order needs no tie-break.  It
+writes each table row once, in the caller's order, through its path's
+scan order.  Both paths thus return one (distance, ascending-rank) table,
+exact under any translation or scale of the features that keeps squared
+distances finite in float64.  Larger inputs (entries from about 1e153
+up) and non-finite ones raise ``ValueError``.  Herding scans every
 candidate once per pick, under the same limit on its scores.
 
 Working memory of the gram path beyond the input and its n x k table
@@ -256,11 +259,9 @@ def _scan(X, rank, k, C, subnormal, bands, names=None):
                 s1 = min(s0 + width, b1)
                 r, c = np.divmod(np.flatnonzero(mask[s0 - b0:s1 - b0]), w)
                 counts = np.bincount(r, minlength=s1 - s0)
-                r += s0
                 c = cols[c] if len(spans) > 1 else c + spans[0][0]
                 e = np.concatenate(([0], np.cumsum(counts)))
-                _rescore_rows(X, rank, counts, lambda a, b: (r[e[a]:e[b]], c[e[a]:e[b]]),
-                              pos, d2, names)
+                _rescore_rows(X, rank, s0, counts, lambda a, b: c[e[a]:e[b]], pos, d2, names)
     return pos, d2
 
 
@@ -358,12 +359,12 @@ def _mark(d, p, margin, k, mask):
     return np.count_nonzero(mask)
 
 
-def _rescore_rows(X, rank, counts, candidates, pos, d2, names=None):
-    """Table rows from their candidates, in chunks of consecutive rows.
+def _rescore_rows(X, rank, start, counts, candidates, pos, d2, names=None):
+    """Table rows start, start + 1, ... from their candidates, in chunks.
 
-    ``counts`` holds each row's number of candidates (k at least), and
-    ``candidates(r0, r1)`` returns those of rows [r0, r1) as flat, row-major
-    (r, c): candidate t is column c[t] of table row r[t].  A chunk takes rows
+    ``counts[i]`` holds the number of candidates of table row start + i (k at
+    least), and ``candidates(r0, r1)`` returns those of rows start + r0 to
+    start + r1 - 1, row by row, as one flat array of columns.  A chunk takes rows
     while rows x its widest row x (m + 4) fits RESCORE_ELEMENTS (one row at
     least), so a row of many candidates only shrinks the chunks around it.
     ``names[i]`` is the caller's index of row i of X (None: the identity);
@@ -374,36 +375,66 @@ def _rescore_rows(X, rank, counts, candidates, pos, d2, names=None):
         ahead = counts[r0:r0 + budget // int(counts[r0])]
         fits = np.arange(1, ahead.size + 1) * np.maximum.accumulate(ahead) <= budget
         r1 = r0 + max(1, int(np.count_nonzero(fits)))
-        _rescore(X, rank, *candidates(r0, r1), counts[r0:r1], pos, d2, names)
+        _rescore(X, rank, start + r0, candidates(r0, r1), counts[r0:r1], pos, d2, names)
         r0 = r1
 
 
-def _rescore(X, rank, r, c, counts, pos, d2, names=None):
-    """Rows r[0], r[0] + 1, ... of the table from their candidates, in one pass.
+def _rescore(X, rank, i0, c, counts, pos, d2, names=None):
+    """Rows i0, i0 + 1, ... of the table from their candidates, in one pass.
 
     Exact squared distances of every candidate (laid out as in
-    ``_rescore_rows``), one row per table row, padded with (inf, rank n),
-    which sorts last; the first k columns in (distance, rank) order are the
-    row's neighbors, written through ``names`` (as in ``_rescore_rows``).
+    ``_rescore_rows``), one row per table row, padded with +inf, which sorts
+    after every candidate (their distances are finite).  Each row is sorted
+    by distance alone.  Where its first k + 1 sorted distances are all
+    distinct, its k smallest lie strictly below every other candidate's, so
+    they are its first k in (distance, rank) order whatever the sort did
+    with equal values.  Only the rows with a tie among those k + 1 go to
+    ``_by_rank``.  The first k columns are the row's neighbors, written
+    through ``names`` (as in ``_rescore_rows``); their distances are the
+    same under either order.
     """
-    n, k, i0 = X.shape[0], pos.shape[1], r[0]
+    k = pos.shape[1]
     diff = X.take(c, axis=0)
-    diff -= X.take(r, axis=0)
-    exact = np.einsum("ij,ij->i", diff, diff)
+    diff -= X.take(np.repeat(np.arange(i0, i0 + counts.size), counts), axis=0)
     filled = np.arange(counts.max()) < counts[:, None]
     dist = np.full(filled.shape, np.inf)
-    dist[filled] = exact
-    keys = np.full(filled.shape, n)
-    keys[filled] = rank[c]
-    order = np.lexsort((keys, dist), axis=-1)[:, :k]
+    dist[filled] = np.einsum("ij,ij->i", diff, diff)
+    del diff
+    order = np.argsort(dist, axis=-1)[:, :k + 1]
+    # take_along_axis through flat indices: 1.2 against 2.0 ms per external table
+    near = dist.take(order + dist.shape[1] * np.arange(counts.size)[:, None])
+    tied = (near[:, 1:] == near[:, :-1]).any(axis=1)
+    if tied.all():
+        # Every row ties (identical or underflowing rows): the whole chunk,
+        # without row-selected copies, once the full argsort is freed.  The
+        # tie-heavy [underflow] test (n = 4000, m = 32, 3-row chunks) took
+        # 2.99 against 3.23 s through the selected rows, the width-1 one
+        # 1.21 against 1.27 s (medians of 10 alternating runs, 2 cores),
+        # whose traced peak is 5.9 against 7.6 MiB.
+        del order
+        order = _by_rank(dist, filled, rank[c], k)
+    elif tied.any():
+        keys = rank[c[np.repeat(tied, counts)]]
+        order[tied, :k] = _by_rank(dist[tied], filled[tied], keys, k)
     first = np.cumsum(counts) - counts
-    picks = c[first[:, None] + order]
+    picks = c.take(first[:, None] + order[:, :k])
     if names is None:
         rows = slice(i0, i0 + counts.size)
     else:
-        rows, picks = names[i0:i0 + counts.size], names[picks]
+        rows, picks = names[i0:i0 + counts.size], names.take(picks)
     pos[rows] = picks
-    d2[rows] = np.take_along_axis(dist, order, axis=1)
+    d2[rows] = near[:, :k]
+
+
+def _by_rank(dist, filled, keys, k):
+    """The first k columns of each row of ``dist`` in (distance, rank) order.
+
+    ``keys`` holds the ranks of the ``filled`` slots, row by row.  Padding
+    (+inf) sorts after every candidate whatever its key, so it takes 0.
+    """
+    full = np.zeros(dist.shape, dtype=np.int64)
+    full[filled] = keys
+    return np.lexsort((full, dist), axis=-1)[:, :k]
 
 
 def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
@@ -451,11 +482,10 @@ def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):
 
     def candidates(r0, r1):
         b, s = begin[r0:r1].ravel(), size[r0:r1].ravel()
-        c = np.arange(int(s.sum())) + np.repeat(b - (np.cumsum(s) - s), s)
-        return np.repeat(p[r0:r1], counts[r0:r1]), c
+        return np.arange(int(s.sum())) + np.repeat(b - (np.cumsum(s) - s), s)
 
     pos, d2 = np.empty((n, k), dtype=np.int64), np.empty((n, k))
-    _rescore_rows(xs[:, None], rank[order], counts, candidates, pos, d2, order)
+    _rescore_rows(xs[:, None], rank[order], 0, counts, candidates, pos, d2, order)
     return pos, d2
 
 

@@ -27,6 +27,7 @@ class NeighborTable:
     distances: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         n = self.neighbor_ids.shape[0]
         if any(a.shape != (n, self.k)
                for a in (self.neighbor_ids, self.neighbor_rows, self.distances)):
@@ -45,7 +46,11 @@ class NeighborTable:
 
 
 def build_neighbor_table(rep: RepresentedDataset, k: int) -> NeighborTable:
-    """Brute-force exact l2 nearest neighbors in representation space."""
+    """Exact l2 nearest neighbors in representation space, ties by ascending id.
+
+    ``kernels.neighbor_table`` proposes candidates (a sorted scan at width
+    1, pivot-grouped gram blocks wider) and ranks them by exact distances.
+    """
     n, k = rep.base.n, as_int(k, "k")
     if not (1 <= k <= n - 1):
         raise ValueError(f"k must satisfy 1 <= k <= n-1, got k={k}, n={n}")

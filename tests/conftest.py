@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from icut import LabeledDataset, TrainedClassifier
+from icut import LabeledDataset, TrainedClassifier, kernels
 
 # Lines appended by the acceptance tests; printed after the run so the
 # per-criterion verdicts are visible in the terminal output.
@@ -159,6 +159,19 @@ def full_sort(X, rank, k, rows):
         pos[r] = np.lexsort((rank, full))[:k]
         d2[r] = full[pos[r]]
     return pos, d2
+
+
+def spy_ranked(monkeypatch):
+    """The row count of every call to ``kernels._by_rank``, the k-NN ranking's
+    fallback for rows with a distance tie among their k + 1 nearest, in call order."""
+    sent, by_rank = [], kernels._by_rank
+
+    def spied(dist, *rest):
+        sent.append(dist.shape[0])
+        return by_rank(dist, *rest)
+
+    monkeypatch.setattr(kernels, "_by_rank", spied)
+    return sent
 
 
 def oracle_herding(X, mu, count):

@@ -54,6 +54,12 @@ def test_random_count_must_be_an_integer():
     assert np.array_equal(random_scores(4.0, 0), random_scores(4, 0))
 
 
+def test_random_count_must_be_non_negative():
+    with pytest.raises(ValueError, match="^n must be non-negative, got n=-1$"):
+        random_scores(-1, 0)
+    assert random_scores(0, 0).shape == (0,)
+
+
 def test_random_rejects_bad_tau():
     with pytest.raises(ValueError, match="tau"):
         _random_ids(random_dataset(4, 1), 0.0)

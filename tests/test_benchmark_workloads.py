@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import full_sort
+from conftest import full_sort, spy_ranked
 from icut import kernels
 from icut.io import read_embedding_csv
 
@@ -114,7 +114,8 @@ def test_traced_ops_make_the_pinned_calls_per_layer(tmp_path, monkeypatch, name)
 def test_full_size_external_embedding_skips_far_groups_and_stays_exact(tmp_path, monkeypatch):
     # The small op's 400 rows form one group, so only the full-size input
     # reaches the skip rule: its 5 classes lie far apart, and each block of
-    # rows is marked against its own class's columns only.
+    # rows is marked against its own class's columns only.  No row's first
+    # k + 1 distances tie, so no row goes to the rank fallback.
     workloads = _load(monkeypatch, "workloads")
     inputs = workloads.WORKLOADS["external-ksweep"].prepare(0, str(tmp_path), False)
     ids, X = read_embedding_csv(inputs["embedding"])
@@ -126,8 +127,10 @@ def test_full_size_external_embedding_skips_far_groups_and_stays_exact(tmp_path,
         return mark(d, *rest)
 
     monkeypatch.setattr(kernels, "_mark", spied)
+    sent = spy_ranked(monkeypatch)
     pos, d2 = kernels.neighbor_table(X, ids, k)
     assert n == 5000 and max(widths) < n / 2
+    assert sent == []
     rows = np.random.default_rng(0).choice(n, size=100, replace=False)
     expected, dists = full_sort(X, ids, k, rows)
     assert np.array_equal(pos[rows], expected)

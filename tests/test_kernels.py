@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import full_sort, oracle_herding, oracle_neighbors
+from conftest import full_sort, oracle_herding, oracle_neighbors, spy_ranked
 from icut import kernels
 
 
@@ -57,16 +57,9 @@ def _gram_case(kind, n, rng):
 ])
 def test_gram_path_across_several_blocks_matches_full_sort(kind, k, budget, monkeypatch):
     monkeypatch.setattr(kernels, "BLOCK_ELEMENTS", 64 * 300)
-    chunks = []
     if budget is not None:
         monkeypatch.setattr(kernels, "RESCORE_ELEMENTS", budget)
-        rescore = kernels._rescore
-
-        def counted(X, rank, r, c, counts, *rest):
-            chunks.append(counts.size)
-            rescore(X, rank, r, c, counts, *rest)
-
-        monkeypatch.setattr(kernels, "_rescore", counted)
+    chunks = _spy_chunks(monkeypatch)
     rng = np.random.default_rng(len(kind) + k)
     X = _gram_case(kind, 300, rng)
     rank = rng.permutation(300).astype(np.int64)
@@ -131,13 +124,26 @@ def test_wide_gram_path_memory_is_the_sum_of_its_terms():
     assert np.array_equal(d2[check], dists)
 
 
+def _spy_chunks(monkeypatch):
+    """The row count of every chunk ``_rescore`` ranks, in call order."""
+    chunks, rescore = [], kernels._rescore
+
+    def spied(X, rank, i0, c, counts, *rest):
+        chunks.append(counts.size)
+        rescore(X, rank, i0, c, counts, *rest)
+
+    monkeypatch.setattr(kernels, "_rescore", spied)
+    return chunks
+
+
 @pytest.mark.parametrize("kind", ["identical", "underflow", "underflow-width-1"])
-def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
+def test_tie_heavy_gram_blocks_stay_small_and_exact(kind, monkeypatch):
     # Every entry of every block is a candidate: identical rows, or rows whose
     # rescored squared distances underflow to 0 (each block goes to float64
     # after the first).  At width 1 the underflow makes every row's ties run
     # over the whole input, each run holding several values, so every row
     # proposes all n - 1 others.  Rescoring in chunks keeps the memory bound.
+    # Every distance is 0, so every row is ranked by the rank fallback.
     rng = np.random.default_rng(10)
     n = 4000
     if kind == "identical":
@@ -146,7 +152,79 @@ def test_tie_heavy_gram_blocks_stay_small_and_exact(kind):
         X = rng.normal(size=(n, 32)) * 1e-170
     else:
         X = rng.normal(size=(n, 1)) * 1e-170
+    sent = spy_ranked(monkeypatch)
     _assert_small_and_exact(X, rng.permutation(n).astype(np.int64), 20, rng)
+    assert sum(sent) == n
+
+
+# Clusters 1000 apart, k = 3.  The first row of each hand-built cluster lies
+# at squared distances 1, 4, 9, 9 (a tie across the k-th and (k + 1)-th
+# place), 1, 1, 4, 25 (a tie inside the first k only) and 1, 4, 9, 16, 25, 25
+# (a tie past the (k + 1)-th only) from the others; a cluster of random rows
+# ties nowhere.
+TIE_CLUSTERS = {
+    1: [[0, 1, -2, 3, -3], [0, 1, -1, 2, 5], [0, 1, -2, 3, -4, 5, -5]],
+    2: [[(0, 0), (1, 0), (0, 2), (3, 0), (0, -3)],
+        [(0, 0), (1, 0), (-1, 0), (0, 2), (5, 0)],
+        [(0, 0), (1, 0), (0, 2), (3, 0), (0, -4), (5, 0), (0, -5)]],
+}
+
+
+def _tie_kinds(X, k):
+    """Per row: where the first tie in its sorted exact squared distances lies."""
+    kinds = []
+    for i in range(X.shape[0]):
+        diff = np.delete(X, i, axis=0) - X[i]
+        d = np.sort(np.einsum("ij,ij->i", diff, diff))
+        same = np.flatnonzero(d[1:] == d[:-1])      # places j + 1 and j + 2 tie
+        kinds.append("untied" if same.size == 0 else "across" if k - 1 in same
+                     else "inside" if same[0] < k - 1 else "past")
+    return np.array(kinds)
+
+
+@pytest.mark.parametrize("m", [1, 2], ids=["width-1", "gram"])
+def test_only_rows_tied_within_k_plus_one_go_to_the_rank_fallback(m, monkeypatch):
+    # One chunk mixes all four kinds of row.  The fallback ranks exactly the
+    # rows with a tie among their first k + 1 distances, and the table is the
+    # oracles'; without the fallback, tied rows keep the distance sort's order
+    # and the table differs.
+    rng = np.random.default_rng(30 + m)
+    k = 3
+    parts = [np.array(c, dtype=float).reshape(len(c), m) for c in TIE_CLUSTERS[m]]
+    parts.append(rng.normal(size=(8, m)))
+    X = np.concatenate([p + 1000.0 * j for j, p in enumerate(parts)])
+    X = X[rng.permutation(X.shape[0])]
+    n, rank = X.shape[0], rng.permutation(X.shape[0])
+    monkeypatch.setattr(kernels, "_groups", lambda *args: None)   # one block, one chunk
+    sent, chunks = spy_ranked(monkeypatch), _spy_chunks(monkeypatch)
+    pos, d2 = kernels.neighbor_table(X, rank, k)
+    kinds = _tie_kinds(X, k)
+    assert set(kinds) == {"across", "inside", "past", "untied"} and chunks == [n]
+    assert sent == [np.count_nonzero((kinds == "across") | (kinds == "inside"))]
+    rows, dists = full_sort(X, rank, k, range(n))
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(d2, dists)
+    rows, dists = oracle_neighbors(X, rank, k)
+    assert np.array_equal(pos, rows)
+    assert np.array_equal(np.sqrt(d2), dists)
+
+
+@pytest.mark.parametrize("m", [1, 3], ids=["width-1", "gram"])
+@pytest.mark.parametrize("budget", [None, 200])
+def test_chunks_of_tied_rows_go_whole_to_the_rank_fallback(m, budget, monkeypatch):
+    # Each of 12 points is three rows, so every row has two others at
+    # distance 0: each chunk goes to the fallback whole, in one call.
+    rng = np.random.default_rng(40 + m)
+    X = np.repeat(rng.normal(size=(12, m)), 3, axis=0)[rng.permutation(36)]
+    rank = rng.permutation(36)
+    if budget is not None:
+        monkeypatch.setattr(kernels, "RESCORE_ELEMENTS", budget)
+    sent, chunks = spy_ranked(monkeypatch), _spy_chunks(monkeypatch)
+    pos = _assert_exact(X, rank, 5)
+    assert sent == chunks and sum(chunks) == 36
+    if budget is not None:          # several chunks to a block
+        assert len(chunks) > 1
+    assert np.array_equal(pos, oracle_neighbors(X, rank, 5)[0])
 
 
 @pytest.mark.parametrize("clustered", [False, True], ids=["spread", "clustered"])
@@ -167,9 +245,9 @@ def test_clustered_blocks_fall_back_to_float64(clustered, monkeypatch):
         dtypes.append(d.dtype)
         return mark(d, *rest)
 
-    def counted(X, rank, r, c, counts, *rest):
+    def counted(X, rank, i0, c, counts, *rest):
         slots.append(int(counts.sum()))
-        rescore(X, rank, r, c, counts, *rest)
+        rescore(X, rank, i0, c, counts, *rest)
 
     monkeypatch.setattr(kernels, "_mark", marked)
     monkeypatch.setattr(kernels, "_rescore", counted)

@@ -226,6 +226,21 @@ def test_table_shape_validation():
                       distances=np.array([[2.0, 1.0]]))
 
 
+def test_table_k_is_an_integer():
+    from icut import NeighborTable
+
+    def table(k):
+        return NeighborTable(k=k, neighbor_ids=np.zeros((3, 2), dtype=int),
+                             neighbor_rows=np.zeros((3, 2), dtype=int),
+                             distances=np.zeros((3, 2)))
+
+    k = table(2.0).k
+    assert k == 2 and type(k) is int
+    assert type(table(np.int64(2)).k) is int
+    with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+        table(2.5)
+
+
 # --- leave-one-out prediction --------------------------------------------------
 
 
