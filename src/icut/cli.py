@@ -1,14 +1,17 @@
 """Command-line surface: one verb per pipeline stage plus orchestration.
 
 Subcommands: gen, corrupt, represent, select, train, eval, exp, bounds,
-ablate, validate-theory.  Every flag mirrors a key in an optional JSON
-config (``--config file.json``) named by the flag's dest (``--n-train`` is
-``n_train``); explicit flags override file values, and a config value is
-checked and converted as the same flag would be.  A value set in neither
-place takes the default of the library config it feeds (``SyntheticSpec``,
-``NoiseSpec``, ``CutstatsConfig``, ``MlpConfig``, ``ExperimentConfig``,
-``WindowParams``).  Exit codes: 0 success, 1 runtime failure, 2 usage or
-config error.
+ablate, validate-theory.  Two tables declare them: ``FLAGS`` holds each
+flag once, as its option string and argparse keywords, and ``VERBS``
+gives each verb its help, its flags in order, its required flags and its
+handler.  A flag's dest in ``FLAGS`` is also its key in an optional JSON
+config (``--config file.json``; ``--n-train`` is ``n_train``); explicit
+flags override file values, a config value is checked and converted as
+the same flag would be, and the required flags are checked once, after
+the merge.  A value set in neither place takes the default of the
+library config it feeds (``SyntheticSpec``, ``NoiseSpec``,
+``CutstatsConfig``, ``MlpConfig``, ``ExperimentConfig``, ``WindowParams``).
+Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import re
 import sys
 from dataclasses import replace
+from typing import Callable, NamedTuple
 
 from . import io
 from .core import METHODS, REPRESENTATION_KINDS, subset_accuracy
@@ -27,7 +31,7 @@ from .experiment import (ABLATION_KINDS, ExperimentConfig, _staged,
                          ablation_configs, run_ablation, run_bounds, run_experiment, select)
 from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
 from .representation import compute_representation
-from .theory import WINDOW_MODES, WindowParams, theory_checks
+from .theory import WINDOW_MODES, WindowParams, feasibility_window, theory_checks
 
 
 class UsageError(ValueError):
@@ -73,8 +77,8 @@ def _priors(text):
     return text if text == "empirical" else _list_of(float)(text)
 
 
-def _config_values(verb_parser, path) -> dict:
-    """The JSON config at ``path``, by dest, checked as ``verb_parser`` checks its flags."""
+def _config_values(verb, path) -> dict:
+    """The JSON config at ``path``, by dest, checked as ``verb``'s flags are."""
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -82,29 +86,32 @@ def _config_values(verb_parser, path) -> dict:
         raise UsageError(f"bad config file: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
-    actions = {a.dest: a for a in verb_parser._actions if a.dest not in ("help", "config")}
+    flags = _flags(verb)
     values = {}
     for key, value in cfg.items():
-        action = actions.get(key)
-        if action is None:
-            raise UsageError(f"unknown config key {key!r} for {verb_parser.prog}")
+        if key not in flags:
+            raise UsageError(f"unknown config key {key!r} for icut {verb}")
         if value is None:
             continue
-        if action.nargs == 0:                       # a switch such as --no-train
+        kw = flags[key][1]
+        if kw.get("action") == "store_true":        # a switch such as --no-train
             if not isinstance(value, bool):
                 raise UsageError(f"config key {key!r} must be true or false")
             values[key] = value
             continue
         texts = [str(v) for v in value] if isinstance(value, list) else [str(value)]
-        if action.nargs is None:                    # one token: lists are comma-joined
+        nargs = kw.get("nargs")
+        if nargs is None:                           # one token: lists are comma-joined
             texts = [",".join(texts)]
+        elif len(texts) != nargs:
+            raise UsageError(f"config key {key!r} takes {nargs} values")
         try:
-            parsed = [action.type(t) if action.type else t for t in texts]
+            parsed = list(map(kw.get("type", str), texts))
         except (ValueError, TypeError) as exc:
             raise UsageError(f"bad {key} {value!r}") from exc
-        if action.choices is not None and not set(parsed) <= set(action.choices):
+        if "choices" in kw and not set(parsed) <= set(kw["choices"]):
             raise UsageError(f"unknown {key} {value!r}")
-        values[key] = parsed if action.nargs else parsed[0]
+        values[key] = parsed if nargs else parsed[0]
     return values
 
 
@@ -143,8 +150,6 @@ def _class_count(v) -> dict:
 
 
 def _cmd_gen(v) -> int:
-    if "group" not in v:
-        raise UsageError("--group is required")
     train, test = generate_synthetic(_cfg(_synthetic_spec, v), **_given(v, "seed"))
     io.write_dataset_csv(train, v.get("out_train", "train.csv"))
     io.write_dataset_csv(test, v.get("out_test", "test.csv"))
@@ -155,8 +160,6 @@ def _cmd_gen(v) -> int:
 
 
 def _cmd_corrupt(v) -> int:
-    if not {"infile", "outfile", "p"} <= v.keys():
-        raise UsageError("--in, --out and --p are required")
     noise = _cfg(NoiseSpec, **_given(v, "num_classes", flip_probability="p"))
     noisy = inject_label_noise(_read_dataset(v["infile"]), noise, **_given(v, "seed"))
     io.write_dataset_csv(noisy, v["outfile"])
@@ -167,8 +170,6 @@ def _cmd_corrupt(v) -> int:
 
 
 def _cmd_represent(v) -> int:
-    if not {"infile", "outfile"} <= v.keys():
-        raise UsageError("--in and --out are required")
     dataset = _read_dataset(v["infile"])
     rep = compute_representation(dataset, v.get("kind", ExperimentConfig.representation_kind))
     io.write_embedding_csv(dataset.ids, rep.representations, v["outfile"])
@@ -179,8 +180,6 @@ def _cmd_represent(v) -> int:
 
 
 def _cmd_select(v) -> int:
-    if "infile" not in v:
-        raise UsageError("--in is required")
     config = _cfg(_experiment_config, {**v, "train": v["infile"]})
     dataset = _read_dataset(v["infile"], **_given(v, "num_classes"))
     sel, _ = select(config, dataset, **_given(v, "seed"))
@@ -197,8 +196,6 @@ def _cmd_select(v) -> int:
 
 
 def _cmd_train(v) -> int:
-    if not {"infile", "out_model"} <= v.keys():
-        raise UsageError("--in and --out are required")
     mlp = _cfg(_mlp_config, v)
     dataset = _read_dataset(v["infile"], **_class_count(v))
     if "subset" in v:
@@ -212,8 +209,6 @@ def _cmd_train(v) -> int:
 
 
 def _cmd_eval(v) -> int:
-    if not {"model", "test"} <= v.keys():
-        raise UsageError("--model and --test are required")
     model = _staged("load", load_classifier, v["model"])
     m = evaluate(model, _read_dataset(v["test"], num_classes=model.num_classes))
     print(f"accuracy={100.0 * m.classifier_accuracy:.2f}")
@@ -254,11 +249,11 @@ def _cmd_exp(v) -> int:
 
 
 def _cmd_bounds(v) -> int:
-    if not v.get("d_range"):
-        raise UsageError("empty d_range")
     params = _cfg(WindowParams, **_given(v, "n", "nu", "rho", "delta", "omega", "p0",
                                           "kl1", "mode"))
-    report = run_bounds(params, v["d_range"], **_given(v, output_dir="out_dir"))["report"]
+    d_range = v.get("d_range", ())
+    _cfg(feasibility_window, params, d_range)       # a bad range is a usage error up front
+    report = run_bounds(params, d_range, **_given(v, output_dir="out_dir"))["report"]
     for d, log_l, log_u, ok in report.rows:
         print(f"d={d} logL={log_l:.6f} logU={log_u:.6f} {'feasible' if ok else 'infeasible'}")
     print(f"d0={report.d0 if report.d0 is not None else 'none'}")
@@ -303,43 +298,122 @@ def _cmd_validate_theory(v) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_mlp_flags(p):
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+# One entry per flag: its dest, which is also its config key, and its option
+# string and argparse keywords.
+FLAGS = {
+    "seed": ("--seed", dict(type=int)),
+    "infile": ("--in", {}),
+    "outfile": ("--out", {}),
+    "group": ("--group", dict(choices=GROUPS)),
+    "d": ("--d", dict(type=int)),
+    "n_train": ("--n-train", dict(type=int)),
+    "n_test": ("--n-test", dict(type=int)),
+    "feature_range": ("--range", dict(nargs=2, type=float, metavar=("LO", "HI"))),
+    "out_train": ("--out-train", {}),
+    "out_test": ("--out-test", {}),
+    "p": ("--p", dict(type=float)),
+    "num_classes": ("--num-classes", dict(type=int)),
+    "kind": ("--kind", dict(choices=REPRESENTATION_KINDS)),
+    "embedding": ("--embedding", dict(help="embedding CSV (with --kind external)")),
+    "method": ("--method", dict(choices=METHODS)),
+    "k": ("--k", dict(type=int)),
+    "tau": ("--tau", dict(type=float)),
+    "priors": ("--priors", dict(type=_priors, help='"empirical" or comma floats')),
+    "hidden": ("--hidden", dict(type=int)),
+    "epochs": ("--epochs", dict(type=int)),
+    "batch_size": ("--batch-size", dict(type=int)),
+    "lr": ("--lr", dict(type=float)),
+    "out_scores": ("--out-scores", {}),
+    "out_subset": ("--out-subset", {}),
+    "subset": ("--subset", dict(help="subset id file")),
+    "model": ("--model", {}),
+    "test": ("--test", {}),
+    "out_csv": ("--out-csv", {}),
+    "train": ("--train", dict(help="train dataset CSV (file source)")),
+    "seed_list": ("--seed-list", dict(type=_list_of(int), help="comma-separated seeds")),
+    "out_dir": ("--out-dir", {}),
+    "no_train": ("--no-train", dict(action="store_true")),
+    "target_error": ("--target-error", dict(type=float)),
+    "n": ("--n", dict(type=int)),
+    "nu": ("--nu", dict(type=float)),
+    "rho": ("--rho", dict(type=float)),
+    "delta": ("--delta", dict(type=float)),
+    "omega": ("--omega", dict(type=float)),
+    "p0": ("--p0", dict(type=float)),
+    "kl1": ("--kl1", dict(type=float)),
+    "mode": ("--mode", dict(choices=WINDOW_MODES)),
+    "d_range": ("--d-range", dict(type=_list_of(int), help="comma list or LO:HI inclusive")),
+    "ablation": ("--ablation", dict(choices=ABLATION_KINDS)),
+    "grid": ("--grid", dict(help="comma-separated grid points")),
+    "trials": ("--trials", dict(type=int)),
+    "tuples": ("--tuples", dict(type=int)),
+}
 
 
-def _add_synthetic_flags(p):
-    p.add_argument("--group", choices=GROUPS)
-    p.add_argument("--d", type=int)
-    p.add_argument("--n-train", type=int)
-    p.add_argument("--n-test", type=int)
-    p.add_argument("--range", dest="feature_range", nargs=2, type=float,
-                   metavar=("LO", "HI"))
+class Verb(NamedTuple):
+    help: str
+    flags: tuple        # FLAGS keys in order; a (key, keywords) pair overrides some keywords
+    required: tuple     # dests the handler cannot run without
+    handler: Callable[[dict], int]
 
 
-def _add_selector_flags(p):
-    p.add_argument("--num-classes", type=int)
-    p.add_argument("--kind", choices=REPRESENTATION_KINDS)
-    p.add_argument("--embedding", help="embedding CSV (with --kind external)")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--priors", type=_priors, help='"empirical" or comma floats')
-    _add_mlp_flags(p)
+_MLP = ("hidden", "epochs", "batch_size", "lr")
+_SYNTHETIC = ("group", "d", "n_train", "n_test", "feature_range")
+_SELECTOR = ("num_classes", "kind", "embedding", "method", "k", "tau", "priors", *_MLP)
+_EXP = (*_SYNTHETIC, "train", ("test", dict(help="test dataset CSV (with --train)")),
+        ("p", dict(help="label flip probability")), *_SELECTOR,
+        "seed_list", "out_dir", "no_train", "target_error")
+
+VERBS = {
+    "gen": Verb("generate a synthetic dataset",
+                ("seed", *_SYNTHETIC, "out_train", "out_test"), ("group",), _cmd_gen),
+    "corrupt": Verb("inject symmetric label noise",
+                    ("seed", "infile", "outfile", "p", "num_classes"),
+                    ("infile", "outfile", "p"), _cmd_corrupt),
+    "represent": Verb("compute a representation CSV",
+                      ("infile", "outfile",
+                       ("kind", dict(choices=tuple(k for k in REPRESENTATION_KINDS
+                                                   if k != "external")))),
+                      ("infile", "outfile"), _cmd_represent),
+    "select": Verb("select a training subset",
+                   ("seed", "infile", *_SELECTOR, "out_scores", "out_subset"),
+                   ("infile",), _cmd_select),
+    "train": Verb("train the downstream classifier",
+                  ("seed", "infile", "subset", "num_classes", *_MLP,
+                   ("outfile", dict(dest="out_model"))),
+                  ("infile", "out_model"), _cmd_train),
+    "eval": Verb("evaluate a saved classifier", ("model", "test", "out_csv"),
+                 ("model", "test"), _cmd_eval),
+    "exp": Verb("end-to-end seeded experiment", _EXP, (), _cmd_exp),
+    "bounds": Verb("feasibility window over dimensions",
+                   ("n", "nu", "rho", "delta", "omega", "p0", "kl1", "mode", "d_range",
+                    "out_dir"), (), _cmd_bounds),
+    "ablate": Verb("sweep one knob through the pipeline", ("ablation", "grid", *_EXP), (),
+                   _cmd_ablate),
+    "validate-theory": Verb("Monte Carlo theory checks", ("seed", "trials", "tuples"), (),
+                            _cmd_validate_theory),
+}
 
 
-def _add_exp_flags(p):
-    _add_synthetic_flags(p)
-    p.add_argument("--train", help="train dataset CSV (file source)")
-    p.add_argument("--test", help="test dataset CSV (with --train)")
-    p.add_argument("--p", type=float, help="label flip probability")
-    _add_selector_flags(p)
-    p.add_argument("--seed-list", type=_list_of(int), help="comma-separated seeds")
-    p.add_argument("--out-dir")
-    p.add_argument("--no-train", action="store_true")
-    p.add_argument("--target-error", type=float)
+def _flags(verb) -> dict:
+    """``{dest: (option string, argparse keywords)}`` of ``verb``'s flags, in order."""
+    flags = {}
+    for entry in VERBS[verb].flags:
+        key, keywords = entry if isinstance(entry, tuple) else (entry, {})
+        option, kw = FLAGS[key]
+        kw = {"dest": key, **kw, **keywords}
+        flags[kw["dest"]] = option, kw
+    return flags
+
+
+def _require(verb, values) -> None:
+    """A usage error naming every required flag of ``verb`` when one is unset."""
+    required = VERBS[verb].required
+    if not set(required) <= values.keys():
+        flags = _flags(verb)
+        *rest, last = (flags[dest][0] for dest in required)
+        names = f"{', '.join(rest)} and {last}" if rest else last
+        raise UsageError(f"{names} {'are' if rest else 'is'} required")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -347,101 +421,18 @@ def _parser() -> argparse.ArgumentParser:
         prog="icut",
         description="Invariance-aware cutstats data curation and theory checks")
     sub = parser.add_subparsers(dest="command")
-
-    def verb(name, help):
+    for verb, spec in VERBS.items():
         # unset flags stay out of the namespace, so library defaults apply; no
         # abbreviations, or a removed --seed would silently mean --seed-list
-        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+        p = sub.add_parser(verb, help=spec.help, argument_default=argparse.SUPPRESS,
                            allow_abbrev=False)
         # no verb declares a numeric option, so any "-<digit>" token is a value:
         # argparse's own pattern misses the exponent form (--range -1e-3 1)
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", help="JSON config; flags override its keys")
-        return p
-
-    p = verb("gen", "generate a synthetic dataset")
-    p.add_argument("--seed", type=int)
-    _add_synthetic_flags(p)
-    p.add_argument("--out-train")
-    p.add_argument("--out-test")
-
-    p = verb("corrupt", "inject symmetric label noise")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", dest="outfile")
-    p.add_argument("--p", type=float)
-    p.add_argument("--num-classes", type=int)
-
-    p = verb("represent", "compute a representation CSV")
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--out", dest="outfile")
-    p.add_argument("--kind", choices=("identity", "l2norm", "sort"))
-
-    p = verb("select", "select a training subset")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--in", dest="infile")
-    _add_selector_flags(p)
-    p.add_argument("--out-scores")
-    p.add_argument("--out-subset")
-
-    p = verb("train", "train the downstream classifier")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--in", dest="infile")
-    p.add_argument("--subset", help="subset id file")
-    p.add_argument("--num-classes", type=int)
-    _add_mlp_flags(p)
-    p.add_argument("--out", dest="out_model")
-
-    p = verb("eval", "evaluate a saved classifier")
-    p.add_argument("--model")
-    p.add_argument("--test")
-    p.add_argument("--out-csv")
-
-    p = verb("exp", "end-to-end seeded experiment")
-    _add_exp_flags(p)
-
-    p = verb("bounds", "feasibility window over dimensions")
-    p.add_argument("--n", type=int)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--p0", type=float)
-    p.add_argument("--kl1", type=float)
-    p.add_argument("--mode", choices=WINDOW_MODES)
-    p.add_argument("--d-range", type=_list_of(int), help="comma list or LO:HI inclusive")
-    p.add_argument("--out-dir")
-
-    p = verb("ablate", "sweep one knob through the pipeline")
-    p.add_argument("--ablation", choices=ABLATION_KINDS)
-    p.add_argument("--grid", help="comma-separated grid points")
-    _add_exp_flags(p)
-
-    p = verb("validate-theory", "Monte Carlo theory checks")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tuples", type=int)
-
+        for option, kw in _flags(verb).values():
+            p.add_argument(option, **kw)
     return parser
-
-
-def _verb_parsers(parser) -> dict:
-    return next(a.choices for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-
-
-HANDLERS = {
-    "gen": _cmd_gen,
-    "corrupt": _cmd_corrupt,
-    "represent": _cmd_represent,
-    "select": _cmd_select,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "exp": _cmd_exp,
-    "bounds": _cmd_bounds,
-    "ablate": _cmd_ablate,
-    "validate-theory": _cmd_validate_theory,
-}
 
 
 def main(argv=None) -> int:
@@ -454,9 +445,9 @@ def main(argv=None) -> int:
     try:
         if "config" in values:
             # one mapping of the flags actually set: the config's, then the command line's
-            config = _config_values(_verb_parsers(parser)[verb], values.pop("config"))
-            values = {**config, **values}
-        return HANDLERS[verb](values)
+            values = {**_config_values(verb, values.pop("config")), **values}
+        _require(verb, values)
+        return VERBS[verb].handler(values)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

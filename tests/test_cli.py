@@ -74,6 +74,17 @@ def test_gen_range_takes_a_negative_bound_in_exponent_form(tmp_path):
     assert flag.read_bytes() == cfg.read_bytes()
 
 
+@pytest.mark.parametrize("value", [5, [1, 2, 3]], ids=["one", "three"])
+def test_gen_config_range_of_the_wrong_arity_is_a_usage_error_naming_it(capsys, tmp_path,
+                                                                        monkeypatch, value):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"feature_range": value}))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen", "--group", "permutation", "--config", str(config))
+    assert (code, out, err) == (2, "", "error: config key 'feature_range' takes 2 values\n")
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("verb", ["gen", "exp", "ablate"])
 def test_every_range_verb_parses_exponent_form_negatives(verb):
     values = vars(cli._parser().parse_args([verb, "--range", "-1e-3", "-.5E+1"]))
@@ -432,6 +443,14 @@ def test_bounds_requires_d_range(capsys):
     assert "empty d_range" in err
 
 
+@pytest.mark.parametrize("d_range", ["0:3", "-2,1"])
+def test_bounds_non_positive_d_is_a_usage_error_before_any_file(capsys, tmp_path, d_range):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "bounds", "--d-range", d_range, "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", "error: d must be at least 1\n")
+    assert not out_dir.exists()
+
+
 def test_ablate_runs_grid(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ablate", "--ablation", "k_sweep",
                            "--grid", "3,5", "--group", "orthogonal", "--d", "6",
@@ -762,8 +781,122 @@ def test_every_declared_flag_is_read_by_its_handler():
     parser = cli._parser()
     verbs = next(a.choices for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction))
-    assert set(verbs) == set(cli.HANDLERS)
+    assert set(verbs) == set(cli.VERBS)
     for verb, p in verbs.items():
         declared = {a.dest for a in p._actions if a.dest not in ("help", "config")}
-        unread = declared - _string_constants(cli.HANDLERS[verb], set())
+        unread = declared - _string_constants(cli.VERBS[verb].handler, set())
         assert not unread, f"{verb} declares flags it never reads: {sorted(unread)}"
+
+
+# --- the CLI surface ------------------------------------------------------------
+
+
+def _flag(option, *, dest=None, nargs=None, type=None, choices=None, help=None, metavar=None):
+    """A flag as ``_surface`` records it; ``dest`` defaults to the option's own name."""
+    return ((option,), dest or option[2:].replace("-", "_"), nargs, type, choices, help,
+            metavar)
+
+
+CONFIG_FLAG = _flag("--config", help="JSON config; flags override its keys")
+SEED_FLAG = _flag("--seed", type="int")
+SYNTHETIC_FLAGS = [
+    _flag("--group", choices=("orthogonal", "permutation")),
+    _flag("--d", type="int"),
+    _flag("--n-train", type="int"),
+    _flag("--n-test", type="int"),
+    _flag("--range", dest="feature_range", nargs=2, type="float", metavar=("LO", "HI")),
+]
+MLP_FLAGS = [_flag("--hidden", type="int"), _flag("--epochs", type="int"),
+             _flag("--batch-size", type="int"), _flag("--lr", type="float")]
+SELECTOR_FLAGS = [
+    _flag("--num-classes", type="int"),
+    _flag("--kind", choices=("identity", "l2norm", "sort", "external")),
+    _flag("--embedding", help="embedding CSV (with --kind external)"),
+    _flag("--method", choices=("cutstats", "random", "entropy", "forget", "herding", "full")),
+    _flag("--k", type="int"),
+    _flag("--tau", type="float"),
+    _flag("--priors", type="_priors", help='"empirical" or comma floats'),
+    *MLP_FLAGS,
+]
+EXP_FLAGS = [
+    *SYNTHETIC_FLAGS,
+    _flag("--train", help="train dataset CSV (file source)"),
+    _flag("--test", help="test dataset CSV (with --train)"),
+    _flag("--p", type="float", help="label flip probability"),
+    *SELECTOR_FLAGS,
+    _flag("--seed-list", type="int list", help="comma-separated seeds"),
+    _flag("--out-dir"),
+    _flag("--no-train", nargs=0),
+    _flag("--target-error", type="float"),
+]
+SURFACE = {
+    "gen": ("generate a synthetic dataset",
+            [SEED_FLAG, *SYNTHETIC_FLAGS, _flag("--out-train"), _flag("--out-test")]),
+    "corrupt": ("inject symmetric label noise",
+                [SEED_FLAG, _flag("--in", dest="infile"), _flag("--out", dest="outfile"),
+                 _flag("--p", type="float"), _flag("--num-classes", type="int")]),
+    "represent": ("compute a representation CSV",
+                  [_flag("--in", dest="infile"), _flag("--out", dest="outfile"),
+                   _flag("--kind", choices=("identity", "l2norm", "sort"))]),
+    "select": ("select a training subset",
+               [SEED_FLAG, _flag("--in", dest="infile"), *SELECTOR_FLAGS,
+                _flag("--out-scores"), _flag("--out-subset")]),
+    "train": ("train the downstream classifier",
+              [SEED_FLAG, _flag("--in", dest="infile"), _flag("--subset", help="subset id file"),
+               _flag("--num-classes", type="int"), *MLP_FLAGS,
+               _flag("--out", dest="out_model")]),
+    "eval": ("evaluate a saved classifier",
+             [_flag("--model"), _flag("--test"), _flag("--out-csv")]),
+    "exp": ("end-to-end seeded experiment", EXP_FLAGS),
+    "bounds": ("feasibility window over dimensions",
+               [_flag("--n", type="int"),
+                *[_flag(f"--{name}", type="float")
+                  for name in ("nu", "rho", "delta", "omega", "p0", "kl1")],
+                _flag("--mode", choices=("plain", "orthogonal", "permutation")),
+                _flag("--d-range", type="int list", help="comma list or LO:HI inclusive"),
+                _flag("--out-dir")]),
+    "ablate": ("sweep one knob through the pipeline",
+               [_flag("--ablation", choices=("invariance_error", "dimension_sweep", "k_sweep",
+                                             "tau_sweep")),
+                _flag("--grid", help="comma-separated grid points"), *EXP_FLAGS]),
+    "validate-theory": ("Monte Carlo theory checks",
+                        [SEED_FLAG, _flag("--trials", type="int"), _flag("--tuples", type="int")]),
+}
+
+
+def _surface(parser):
+    """The verbs of ``icut --help`` with their help, and each verb's flags in order."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    listing = [(a.dest, a.help) for a in sub._choices_actions]
+    flags = {verb: [(tuple(a.option_strings), a.dest, a.nargs, getattr(a.type, "__name__", None),
+                     None if a.choices is None else tuple(a.choices), a.help, a.metavar)
+                    for a in p._actions if a.dest != "help"]
+             for verb, p in sub.choices.items()}
+    defaults = {a.default for p in sub.choices.values() for a in p._actions if a.dest != "help"}
+    return listing, flags, defaults
+
+
+def test_cli_surface_is_pinned():
+    listing, flags, defaults = _surface(cli._parser())
+    assert listing == [(verb, help) for verb, (help, _) in SURFACE.items()]
+    assert flags == {verb: [CONFIG_FLAG, *rows] for verb, (_, rows) in SURFACE.items()}
+    assert defaults == {argparse.SUPPRESS}      # an unset flag leaves the namespace
+
+
+REQUIRED = {
+    "gen": (["--d", "3"], "--group is required"),
+    "corrupt": (["--in", "x.csv", "--out", "y.csv"], "--in, --out and --p are required"),
+    "represent": (["--kind", "sort"], "--in and --out are required"),
+    "select": (["--k", "3"], "--in is required"),
+    "train": (["--in", "x.csv", "--epochs", "1"], "--in and --out are required"),
+    "eval": (["--model", "model.bin"], "--model and --test are required"),
+}
+
+
+@pytest.mark.parametrize("verb,argv,message", [(v, *r) for v, r in REQUIRED.items()],
+                         ids=list(REQUIRED))
+def test_missing_required_flags_are_named_in_full(capsys, tmp_path, monkeypatch, verb, argv,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, verb, *argv) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
