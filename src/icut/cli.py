@@ -264,9 +264,7 @@ def _cmd_bounds(v) -> int:
 
 
 def _cmd_ablate(v) -> int:
-    kind = v.get("ablation")
-    if kind not in ABLATION_KINDS:
-        raise UsageError(f"unknown ablation kind {kind!r}")
+    kind = v["ablation"]
     if "grid" not in v:
         raise UsageError("empty ablation grid")
     grid = _grid(kind, v["grid"])
@@ -388,8 +386,8 @@ VERBS = {
     "bounds": Verb("feasibility window over dimensions",
                    ("n", "nu", "rho", "delta", "omega", "p0", "kl1", "mode", "d_range",
                     "out_dir"), (), _cmd_bounds),
-    "ablate": Verb("sweep one knob through the pipeline", ("ablation", "grid", *_EXP), (),
-                   _cmd_ablate),
+    "ablate": Verb("sweep one knob through the pipeline", ("ablation", "grid", *_EXP),
+                   ("ablation",), _cmd_ablate),
     "validate-theory": Verb("Monte Carlo theory checks", ("seed", "trials", "tuples"), (),
                             _cmd_validate_theory),
 }

@@ -101,26 +101,25 @@ class ExperimentConfig:
 
 
 class Stages:
-    """One call's stage outputs, each kept under the inputs its stage reads.
+    """One call's stage outputs, each under ``(scope, stage, *what it and its inputs read)``.
 
-    Seed-free outputs (a file source's datasets, representation and, with no
-    target error, table) live for the call; seeded ones until ``enter`` meets a
-    new seed or source, and only for several configs.  ``width`` is the configs' largest k.
+    Scope ``None`` (a file's datasets, representation and, with no target error,
+    table) lives for the call; ``(synthetic, train_path, seed)`` until a new scope
+    drops it, and only for several configs.  ``width`` is the configs' largest k.
     """
 
     def __init__(self, configs: Sequence[ExperimentConfig]):
         self.width, self._keep = max(cfg.cutstats.k for cfg in configs), len(configs) > 1
         self._call, self._seeded, self._scope = {}, {}, None
 
-    def enter(self, seed: int, source) -> None:
-        if self._scope != (seed, source):
-            self._seeded, self._scope = {}, (seed, source)
-
-    def get(self, key, seeded: bool, stage: str, fn, *args, **kw):
+    def get(self, key, stage: str, fn, *args, **kw):
+        seeded = key[0] is not None
+        if seeded and key[0] != self._scope:
+            self._seeded, self._scope = {}, key[0]
         kept = self._seeded if seeded else self._call
         if key not in kept:
             kept[key] = _staged(stage, fn, *args, **kw)
-        return kept[key] if self._keep or not seeded else kept.pop(key)
+        return kept.pop(key) if seeded and not self._keep else kept[key]
 
 
 def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
@@ -131,11 +130,12 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
     Every score-based method ends in the one ``rank_select`` below; herding and
     full keep their own pick order.  An empty selection (round(tau*n) = 0) is a
     ``[select]`` error, raised before any caller writes or trains on it.
-    ``stages`` serves what the call's other seeds and configs already built;
-    tables are ``stages.width`` wide (alone: k), read to column k.
+    ``stages`` serves what the call's other seeds and configs built from the same
+    inputs; tables are ``stages.width`` wide (alone: k), read to column k.
     """
     tau, k, target = config.cutstats.tau, config.cutstats.k, config.invariance_target
     stages = Stages([config]) if stages is None else stages
+    scope = config.synthetic, config.train_path, seed
     realized = selected = None
     if config.method == "full":
         scores, selected = np.zeros(noisy.n), noisy.ids.copy()
@@ -143,27 +143,28 @@ def select(config: ExperimentConfig, noisy: LabeledDataset, seed: int = 0,
         scores = random_scores(noisy.n, seed)
     elif config.method in ("entropy", "forget"):
         forget = config.method == "forget"
-        scorer = stages.get(("scorer", forget), True, "train", train_mlp, noisy, config.mlp,
-                            seed, trace=forget)
+        scorer = stages.get((scope, "scorer", config.noise, config.mlp, forget), "train",
+                            train_mlp, noisy, config.mlp, seed, trace=forget)
         scores = forgetting_counts(scorer.trace) if forget else entropy_scores(scorer, noisy)
     else:  # representation-based selectors
-        seeded = config.synthetic is not None   # a file's representation is seed-free
         kind, path = config.representation_kind, config.embedding_path
-        rep = stages.get(("rep", kind, path), seeded, "represent", *(
+        free = None if config.synthetic is None else scope   # a file's rep is seed-free
+        rep = stages.get((free, "rep", kind, path), "represent", *(
             (load_external_representation, noisy, path) if kind == "external"
             else (compute_representation, noisy, kind)))
-        rep = RepresentedDataset(noisy, rep.representations, kind)   # this seed's labels
         if target is not None:
-            rep, realized = stages.get(("perturbed", target), True, "represent",
+            rep, realized = stages.get((scope, "perturbed", target), "represent",
                                        perturb_representation, rep, target, seed=seed)
+        rep = RepresentedDataset(noisy, rep.representations, kind)   # this config's labels
         if config.method == "herding":
             herded = _staged("select", herding_select, rep, tau)
             scores, selected = herded.scores, herded.selected
         else:
-            table = stages.get(("table", kind, path, target), seeded or target is not None,
+            table = stages.get((free if target is None else scope, "table", kind, path, target),
                                "select", build_neighbor_table, rep, stages.width)
-            scores = stages.get(("scores", kind, path, target, k), True, "select",
-                                cutstats_scores, rep, table.head(k), config.cutstats)
+            scores = stages.get(
+                (scope, "scores", config.noise, kind, path, target, k, config.cutstats.priors),
+                "select", cutstats_scores, rep, table.head(k), config.cutstats)
     if selected is None:
         selected = rank_select(scores, noisy.ids, tau)
     if selected.size == 0:
@@ -176,19 +177,19 @@ def run_seed(config: ExperimentConfig, seed: int, stages: Optional[Stages] = Non
              ) -> Tuple[Metrics, dict]:
     """One deterministic pipeline pass; extras carry the realized knob values.
 
-    ``stages`` serves what the call's other seeds and configs already built.
+    ``stages`` serves what the call's other seeds and configs built from the same inputs.
     """
     stages = Stages([config]) if stages is None else stages
-    stages.enter(seed, (config.synthetic, config.train_path))
+    scope = config.synthetic, config.train_path, seed
     if config.synthetic is not None:
-        train, test = stages.get(("generate",), True, "generate", generate_synthetic,
+        train, test = stages.get((scope, "generate"), "generate", generate_synthetic,
                                  config.synthetic, seed)
     else:
         train, test = (None if path is None else
-                       stages.get(("load", path), False, "load", io.read_dataset_csv, path)
+                       stages.get((None, "load", path), "load", io.read_dataset_csv, path)
                        for path in (config.train_path, config.test_path))
     noisy = train if config.noise.flip_probability == 0.0 else stages.get(
-        ("corrupt", config.noise), True, "corrupt", inject_label_noise, train, config.noise, seed)
+        (scope, "corrupt", config.noise), "corrupt", inject_label_noise, train, config.noise, seed)
     selection, realized = select(config, noisy, seed, stages)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
     sub = noisy.restrict(selection.selected)

@@ -464,12 +464,6 @@ def test_ablate_runs_grid(capsys, tmp_path):
     assert [r[0] for r in rows] == ["3.0", "5.0"]
 
 
-def test_ablate_requires_kind(capsys):
-    code, _, err = run_cli(capsys, "ablate", "--grid", "1,2")
-    assert code == 2
-    assert "unknown ablation kind" in err
-
-
 BAD_GRIDS = {
     "dimension_sweep_on_a_file": (["dimension_sweep", "--grid", "4"], "synthetic source"),
     "k_sweep_with_zero": (["k_sweep", "--grid", "3,0"], "k must be positive"),
@@ -890,6 +884,7 @@ REQUIRED = {
     "select": (["--k", "3"], "--in is required"),
     "train": (["--in", "x.csv", "--epochs", "1"], "--in and --out are required"),
     "eval": (["--model", "model.bin"], "--model and --test are required"),
+    "ablate": (["--grid", "1,2"], "--ablation is required"),
 }
 
 

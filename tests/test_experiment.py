@@ -329,6 +329,32 @@ def test_run_ablation_builds_unswept_stages_once_per_seed(tmp_path, monkeypatch,
     assert calls == expected
 
 
+def test_tau_sweep_trains_one_scorer_per_seed(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, experiment, ("train_mlp",))
+    cfg = tiny_config(method="entropy", output_dir=str(tmp_path), seeds=(1, 0),
+                      train_downstream=False)
+    run_ablation("tau_sweep", cfg, [0.3, 0.5, 0.7])
+    assert calls == {"train_mlp": 2}
+
+
+OTHER_NOISE = dict(noise=NoiseSpec(flip_probability=0.2))
+
+
+@pytest.mark.parametrize("base, change", [
+    (dict(method="entropy"), dict(mlp=replace(TINY_MLP, hidden_units=8))),
+    (dict(method="entropy"), OTHER_NOISE),
+    ({}, dict(cutstats=CutstatsConfig(k=5, tau=0.5, priors=(0.3, 0.7)))),
+    ({}, OTHER_NOISE),
+    (dict(method="herding", invariance_target=0.1), OTHER_NOISE),
+], ids=["scorer-mlp", "scorer-noise", "scores-priors", "scores-noise", "perturbed-noise"])
+def test_configs_sharing_stages_each_get_their_own_outputs(base, change):
+    configs = [tiny_config(train_downstream=False, **base)]
+    configs.append(replace(configs[0], **change))
+    stages = experiment.Stages(configs)
+    shared = [run_seed(cfg, 0, stages)[0] for cfg in configs]
+    assert shared == [run_seed(cfg, 0)[0] for cfg in configs]
+
+
 @pytest.fixture
 def files(tmp_path):
     """Train and test CSVs of one generated data set, and an embedding CSV of its train rows."""
