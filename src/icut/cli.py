@@ -31,7 +31,7 @@ from .experiment import (ABLATION_KINDS, ExperimentConfig, _staged,
                          ablation_configs, run_ablation, run_bounds, run_experiment, select)
 from .mlp import MlpConfig, evaluate, load_classifier, save_classifier, train_mlp
 from .representation import compute_representation
-from .theory import WINDOW_MODES, WindowParams, feasibility_window, theory_checks
+from .theory import WINDOW_MODES, WindowParams, theory_checks
 
 
 class UsageError(ValueError):
@@ -42,8 +42,6 @@ def _cfg(fn, *args, **kw):
     """Run a construction/validation step; bad values are usage errors."""
     try:
         return fn(*args, **kw)
-    except UsageError:
-        raise
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -251,9 +249,9 @@ def _cmd_exp(v) -> int:
 def _cmd_bounds(v) -> int:
     params = _cfg(WindowParams, **_given(v, "n", "nu", "rho", "delta", "omega", "p0",
                                           "kl1", "mode"))
-    d_range = v.get("d_range", ())
-    _cfg(feasibility_window, params, d_range)       # a bad range is a usage error up front
-    report = run_bounds(params, d_range, **_given(v, output_dir="out_dir"))["report"]
+    # a bad range fails in feasibility_window, a usage error before any file is written
+    report = _cfg(run_bounds, params, v.get("d_range", ()),
+                  **_given(v, output_dir="out_dir"))["report"]
     for d, log_l, log_u, ok in report.rows:
         print(f"d={d} logL={log_l:.6f} logU={log_u:.6f} {'feasible' if ok else 'infeasible'}")
     print(f"d0={report.d0 if report.d0 is not None else 'none'}")
@@ -265,8 +263,6 @@ def _cmd_bounds(v) -> int:
 
 def _cmd_ablate(v) -> int:
     kind = v["ablation"]
-    if "grid" not in v:
-        raise UsageError("empty ablation grid")
     grid = _grid(kind, v["grid"])
     config = _cfg(_experiment_config, v)
     _cfg(ablation_configs, kind, config, grid)      # a bad point is a usage error up front
@@ -387,7 +383,7 @@ VERBS = {
                    ("n", "nu", "rho", "delta", "omega", "p0", "kl1", "mode", "d_range",
                     "out_dir"), (), _cmd_bounds),
     "ablate": Verb("sweep one knob through the pipeline", ("ablation", "grid", *_EXP),
-                   ("ablation",), _cmd_ablate),
+                   ("ablation", "grid"), _cmd_ablate),
     "validate-theory": Verb("Monte Carlo theory checks", ("seed", "trials", "tuples"), (),
                             _cmd_validate_theory),
 }

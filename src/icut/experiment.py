@@ -45,8 +45,6 @@ class StageError(RuntimeError):
 def _staged(stage: str, fn, *args, **kw):
     try:
         return fn(*args, **kw)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

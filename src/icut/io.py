@@ -2,7 +2,10 @@
 
 Every float is written with ``repr`` so values round-trip exactly; files
 always use ``\\n`` line endings and contain no timestamps, making every
-emitted file a pure function of its inputs.
+emitted file a pure function of its inputs.  One function, ``write_csv``,
+encodes every CSV: the dataset, embedding, selection and bounds writers
+turn their arrays into rows of string cells, one row at a time, and hand
+the rows to it.
 
 The dataset, embedding and subset readers parse every row in one pass of
 numpy's C reader.  A file the C reader refuses or could misread, or one
@@ -19,7 +22,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,14 +145,12 @@ def _column(table: np.ndarray, name: str) -> np.ndarray:
 
 
 def write_dataset_csv(dataset: LabeledDataset, path) -> None:
-    header = "id,y,yhat," + ",".join(f"f{j}" for j in range(dataset.d))
-    lines = [header]
     truth = dataset.true_labels
-    for i in range(dataset.n):
-        y = "" if truth is None else str(int(truth[i]))
-        feats = ",".join(format_float(v) for v in dataset.features[i])
-        lines.append(f"{int(dataset.ids[i])},{y},{int(dataset.noisy_labels[i])},{feats}")
-    _write_lines(path, lines)
+    ys = [""] * dataset.n if truth is None else map(str, truth.tolist())
+    write_csv(path, ["id", "y", "yhat", *(f"f{j}" for j in range(dataset.d))],
+              ([str(i), y, str(yhat), *map(repr, row.tolist())]
+               for i, y, yhat, row in zip(dataset.ids.tolist(), ys,
+                                          dataset.noisy_labels.tolist(), dataset.features)))
 
 
 def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
@@ -182,11 +183,8 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
 
 def write_embedding_csv(ids: np.ndarray, matrix: np.ndarray, path) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    header = "id," + ",".join(f"r{j}" for j in range(matrix.shape[1]))
-    lines = [header]
-    for i, row in zip(ids, matrix):
-        lines.append(str(int(i)) + "," + ",".join(format_float(v) for v in row))
-    _write_lines(path, lines)
+    write_csv(path, ["id", *(f"r{j}" for j in range(matrix.shape[1]))],
+              ([str(int(i)), *map(repr, row.tolist())] for i, row in zip(ids, matrix)))
 
 
 def read_embedding_csv(path) -> Tuple[np.ndarray, np.ndarray]:
@@ -206,10 +204,8 @@ def write_selection_csv(selection: SelectionResult, ids: np.ndarray, path) -> No
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != selection.scores.shape:
         raise ValueError("score length mismatch")
-    lines = ["id,score"]
-    for i, s in zip(ids, selection.scores):
-        lines.append(f"{int(i)},{format_float(s)}")
-    _write_lines(path, lines)
+    write_csv(path, ["id", "score"],
+              zip(map(str, ids.tolist()), map(repr, selection.scores.tolist())))
 
 
 def write_subset(ids: np.ndarray, path) -> None:
@@ -232,16 +228,14 @@ def read_subset(path) -> np.ndarray:
 
 
 def write_bounds_csv(report, path) -> None:
-    lines = ["d,logL,logU,feasible"]
-    for d, log_l, log_u, ok in report.rows:
-        lines.append(f"{d},{format_float(log_l)},{format_float(log_u)},{int(ok)}")
-    _write_lines(path, lines)
+    write_csv(path, ["d", "logL", "logU", "feasible"],
+              ([str(d), format_float(log_l), format_float(log_u), str(int(ok))]
+               for d, log_l, log_u, ok in report.rows))
 
 
-def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_lines(path, lines)
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """The one CSV encoder: ``header`` and each row of string cells, comma-joined."""
+    _write_lines(path, [",".join(header), *map(",".join, rows)])
 
 
 def write_text_table(path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:

@@ -5,12 +5,14 @@ import ast
 import inspect
 import json
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import icut.cli as cli
-from icut import CutstatsConfig, LabeledDataset, MlpConfig, kernels, mlp, round_half_up
+from icut import (CutstatsConfig, LabeledDataset, MlpConfig, kernels, mlp, round_half_up,
+                  theory)
 from icut.cli import main
 from icut.core import METHODS
 from icut.experiment import ExperimentConfig, select
@@ -207,7 +209,7 @@ def test_select_unknown_method_flag_is_rejected_by_the_parser(workdir):
 
 def test_config_file_supplies_defaults_and_flags_override(capsys, workdir, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"k": 5, "tau": 0.5}))
+    cfg.write_text(json.dumps({"k": 5, "tau": 0.5, "num_classes": None}))  # null: unset
     half = tmp_path / "half.txt"
     quarter = tmp_path / "quarter.txt"
     code, _, _ = run_cli(capsys, "select", "--in", str(workdir / "noisy.csv"),
@@ -647,6 +649,20 @@ def test_validate_theory_passes_quickly(capsys):
     assert all(line.startswith("PASS") for line in lines)
 
 
+def test_validate_theory_fails_when_one_random_tuple_misses(capsys, monkeypatch):
+    real = theory.validate_prop1_monte_carlo
+
+    def second_tuple_misses(*args, seed, **kw):
+        report = real(*args, seed=seed, **kw)
+        return replace(report, alpha_s_emp=report.alpha_s_pred + 1.0) if seed == 2 else report
+    monkeypatch.setattr(theory, "validate_prop1_monte_carlo", second_tuple_misses)
+    code, out, _ = run_cli(capsys, "validate-theory", "--trials", "20000", "--tuples", "2")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1] == "FAIL: propagation on 2 random tuples"
+    assert all(line.startswith("PASS") for line in lines[:1] + lines[2:])
+
+
 # --- one flag-resolution path -------------------------------------------------
 
 
@@ -710,6 +726,11 @@ def test_config_switch_set_true_turns_training_off(capsys, tmp_path):
     header, rows = read_csv(tmp_path / "report.csv")
     assert [r[0] for r in rows] == ["0", "mean", "std"]
     assert float(rows[0][header.index("classifier_accuracy")]) == 0.0
+    cfg.write_text(json.dumps({"no_train": 1}))
+    assert run_cli(capsys, "exp", "--config", str(cfg), "--group", "orthogonal",
+                   "--out-dir", str(tmp_path / "out")) == (
+        2, "", "error: config key 'no_train' must be true or false\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cfg,message", [
@@ -877,21 +898,24 @@ def test_cli_surface_is_pinned():
     assert defaults == {argparse.SUPPRESS}      # an unset flag leaves the namespace
 
 
+# case: (command line, its error); a case is named by its verb, then what it leaves out
 REQUIRED = {
-    "gen": (["--d", "3"], "--group is required"),
-    "corrupt": (["--in", "x.csv", "--out", "y.csv"], "--in, --out and --p are required"),
-    "represent": (["--kind", "sort"], "--in and --out are required"),
-    "select": (["--k", "3"], "--in is required"),
-    "train": (["--in", "x.csv", "--epochs", "1"], "--in and --out are required"),
-    "eval": (["--model", "model.bin"], "--model and --test are required"),
-    "ablate": (["--grid", "1,2"], "--ablation is required"),
+    "gen": (["gen", "--d", "3"], "--group is required"),
+    "corrupt": (["corrupt", "--in", "x.csv", "--out", "y.csv"],
+                "--in, --out and --p are required"),
+    "represent": (["represent", "--kind", "sort"], "--in and --out are required"),
+    "select": (["select", "--k", "3"], "--in is required"),
+    "train": (["train", "--in", "x.csv", "--epochs", "1"], "--in and --out are required"),
+    "eval": (["eval", "--model", "model.bin"], "--model and --test are required"),
+    "ablate": (["ablate", "--grid", "1,2"], "--ablation and --grid are required"),
+    "ablate-grid": (["ablate", "--ablation", "k_sweep", "--group", "orthogonal"],
+                    "--ablation and --grid are required"),
 }
 
 
-@pytest.mark.parametrize("verb,argv,message", [(v, *r) for v, r in REQUIRED.items()],
-                         ids=list(REQUIRED))
-def test_missing_required_flags_are_named_in_full(capsys, tmp_path, monkeypatch, verb, argv,
+@pytest.mark.parametrize("argv,message", list(REQUIRED.values()), ids=list(REQUIRED))
+def test_missing_required_flags_are_named_in_full(capsys, tmp_path, monkeypatch, argv,
                                                   message):
     monkeypatch.chdir(tmp_path)
-    assert run_cli(capsys, verb, *argv) == (2, "", f"error: {message}\n")
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []

@@ -99,6 +99,9 @@ def test_dataset_rejects_length_mismatch():
     with pytest.raises(ValueError, match="match the feature row count"):
         LabeledDataset(features=np.zeros((3, 2)), noisy_labels=np.zeros(2, dtype=int),
                        num_classes=2, ids=np.arange(3))
+    with pytest.raises(ValueError, match="^true_labels length must match the feature row count$"):
+        LabeledDataset(features=np.zeros((3, 2)), noisy_labels=np.zeros(3, dtype=int),
+                       num_classes=2, ids=np.arange(3), true_labels=np.zeros(2, dtype=int))
 
 
 def test_dataset_rejects_out_of_range_labels():
@@ -260,6 +263,11 @@ def test_balanced_error_label_flip_symmetry():
     truth = rng.integers(0, 2, size=60)
     pred = rng.integers(0, 2, size=60)
     assert balanced_error(pred, truth) == balanced_error(1 - pred, 1 - truth)
+
+
+def test_balanced_error_rejects_unequal_lengths():
+    with pytest.raises(ValueError, match="^predictions and truth must be equal-length 1-D"):
+        balanced_error([0, 1], [0, 1, 1])
 
 
 def test_balanced_error_invariant_to_sample_order():

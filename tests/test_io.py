@@ -1,15 +1,17 @@
 """File formats: byte-exact round trips, malformed-input rejection, and the
 C reader against the row loop it falls back to."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from icut import SelectionResult, io
+from icut import LabeledDataset, SelectionResult, io
 from icut.io import (_write_lines, format_float, read_dataset_csv,
                      read_embedding_csv, read_subset, write_bounds_csv,
                      write_csv, write_dataset_csv, write_embedding_csv,
                      write_selection_csv, write_subset, write_text_table)
-from icut.theory import WindowParams, feasibility_window
+from icut.theory import FeasibilityReport, WindowParams, feasibility_window
 from conftest import random_dataset, read_csv, read_lines, read_selection_csv
 
 
@@ -368,6 +370,54 @@ def test_generic_csv_round_trip(tmp_path):
     header, rows = read_csv(path)
     assert header == ["a", "b"]
     assert rows == [["1", "x"], ["2", "y"]]
+
+
+# sha256 of each writer's output for the inputs of
+# ``test_every_writer_emits_pinned_bytes``: any change to a file's bytes,
+# however small, fails it.
+WRITER_DIGESTS = {
+    "dataset.csv":
+        "4088be22dacf33d8239e89aa5f852ee2e55abcb57f50e88af8d9add2f7ca18b2",
+    "dataset_no_truth.csv":
+        "8db3fefe50e669a326186dd55a1b7bf3a008c300cba8dc3dde224e89ec48fdbf",
+    "embedding.csv":
+        "ee40c0cae69cd6aa9e1f6e03e47469cb69d650be8a5a519432d647a597fbe28a",
+    "embedding_1d.csv":
+        "8eeb9ac636cc07065525c5f96c40aa54295cb4f72ca73841ba0c4a003ccaa202",
+    "scores.csv":
+        "e2918a55e13f75f531b6025f380bcb4b486172d24af4fe2a84d820dbe90aeca4",
+    "bounds.csv":
+        "15f93343d475a707438261803fd1aa100ce56a29679ed28dccd95ab2fe1d097a",
+    "report.csv":
+        "1f1b2a9fbfd5ea3a459354394135290bffaf10c54db2d644d90d8c2d608b4620",
+    "report_no_rows.csv":
+        "1293bb6a21cd93aa8d6182c6bae26b7664cc57cf5d2d2ef50758564bf5559cc2",
+}
+
+
+def test_every_writer_emits_pinned_bytes(tmp_path):
+    ids = np.array([2**62, -(2**62), 0, 17])
+    features = np.array([[-0.0, 5e-324, 1e16],
+                         [1e-5, np.finfo(np.float64).max, -1 / 3],
+                         [0.1, -2.5, 7.0],
+                         [-1e-300, 123456789.125, 2.0**-1074 * 3]])
+    noisy, truth = np.array([1, 0, 2, 1]), np.array([1, 1, 2, 0])
+    write_dataset_csv(LabeledDataset(features=features, noisy_labels=noisy, num_classes=3,
+                                     ids=ids, true_labels=truth), tmp_path / "dataset.csv")
+    write_dataset_csv(LabeledDataset(features=features, noisy_labels=noisy, num_classes=3,
+                                     ids=ids), tmp_path / "dataset_no_truth.csv")
+    write_embedding_csv(ids, -features[:, ::-1], tmp_path / "embedding.csv")
+    write_embedding_csv([-(2**62)], features[1], tmp_path / "embedding_1d.csv")
+    write_selection_csv(SelectionResult(scores=features[:, 1], selected=ids[:2]), ids,
+                        tmp_path / "scores.csv")
+    rows = ((1, -0.0, 1e16, True), (4, 5e-324, -1e-5, False))
+    write_bounds_csv(FeasibilityReport(rows=rows, d0=4, mode="plain", unique_transition=True),
+                     tmp_path / "bounds.csv")
+    write_csv(tmp_path / "report.csv", ["seed", "accuracy"], [["0", "0.5"], ["mean", "1e-05"]])
+    write_csv(tmp_path / "report_no_rows.csv", ["seed", "accuracy"], [])
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in WRITER_DIGESTS}
+    assert digests == WRITER_DIGESTS
 
 
 def test_read_csv_rejects_empty_file(tmp_path):

@@ -356,3 +356,6 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="corrupt classifier weight file"):
         load_classifier(path)
+    path.write_bytes(b"MLP1abc")                    # the magic, then no full size header
+    with pytest.raises(ValueError, match="corrupt classifier weight file"):
+        load_classifier(path)

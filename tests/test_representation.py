@@ -8,7 +8,7 @@ import pytest
 from icut import (LabeledDataset, RepresentedDataset, compute_representation,
                   load_external_representation, perturb_representation)
 from icut.io import write_embedding_csv
-from icut.representation import CALIBRATION_MISSED
+from icut.representation import CALIBRATION_MISSED, OVERFLOW
 from conftest import apply_group_action, oracle_perturbation, random_dataset
 
 
@@ -58,6 +58,13 @@ def test_represented_dataset_validation():
     with pytest.raises(ValueError, match="non-decreasing"):
         RepresentedDataset(base=ds, representations=np.array([[1.0, 0.0, 2.0]] * 4),
                            kind="sort")
+    with pytest.raises(ValueError, match="^unknown representation kind 'bogus'$"):
+        RepresentedDataset(base=ds, representations=np.zeros((4, 1)), kind="bogus")
+    with pytest.raises(ValueError, match="keep the feature width"):
+        RepresentedDataset(base=ds, representations=np.zeros((4, 2)), kind="identity")
+    flat = RepresentedDataset(base=ds, representations=np.arange(4.0), kind="l2norm")
+    assert flat.representations.shape == (4, 1)     # a 1-D representation is stored n x 1
+    assert np.array_equal(flat.representations[:, 0], np.arange(4.0))
 
 
 def test_invariant_maps_are_invariant_over_many_actions():
@@ -209,3 +216,7 @@ def test_perturb_noise_lost_to_rounding_is_a_named_error():
 def test_perturb_overflowing_noise_is_a_named_error():
     with pytest.raises(ValueError, match=re.escape(CALIBRATION_MISSED)):
         perturb_representation(_l2_rep(), 1e308)
+    held = RepresentedDataset(base=random_dataset(4, 2), kind="l2norm",
+                              representations=[1.0, np.inf, 2.0, 3.0])
+    with pytest.raises(ValueError, match=re.escape(OVERFLOW)):
+        perturb_representation(held, 0.1)

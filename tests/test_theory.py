@@ -212,6 +212,9 @@ def test_prop1_is_deterministic_per_seed():
 def test_prop1_rejects_thin_sampling():
     with pytest.raises(ValueError, match="at least 10\\^4"):
         validate_prop1_monte_carlo(0.3, 0.2, 0.7, 0.7, trials=9999)
+    # enough trials, but a cell the rates make empty in every one of them
+    with pytest.raises(ValueError, match="^insufficient trials$"):
+        validate_prop1_monte_carlo(1e-12, 0.3, 1.0, 1e-12, trials=10**4)
 
 
 def test_prop1_rejects_saturated_rates():
