@@ -190,7 +190,10 @@ def run_seed(config: ExperimentConfig, seed: int, stages: Optional[Stages] = Non
         (scope, "corrupt", config.noise), "corrupt", inject_label_noise, train, config.noise, seed)
     selection, realized = select(config, noisy, seed, stages)
     metrics = Metrics(nonabstain_rate=selection.selected.size / noisy.n)
-    sub = noisy.restrict(selection.selected)
+    # Only the binary rates and the downstream MLP read the selected subset.
+    downstream = test is not None and config.train_downstream
+    if downstream or (noisy.true_labels is not None and noisy.num_classes == 2):
+        sub = noisy.restrict(selection.selected)
     if noisy.true_labels is not None:
         metrics = replace(
             metrics, subset_accuracy=_staged("select", subset_accuracy, selection, noisy))
@@ -204,7 +207,7 @@ def run_seed(config: ExperimentConfig, seed: int, stages: Optional[Stages] = Non
         else:
             metrics = replace(metrics, alpha_hat=1.0 - metrics.subset_accuracy,
                               gamma_hat=1.0 - metrics.subset_accuracy)
-    if test is not None and config.train_downstream:
+    if downstream:
         model = _staged("train", train_mlp, sub, config.mlp, seed)
         scored = _staged("evaluate", evaluate, model, test)
         metrics = replace(metrics, classifier_accuracy=scored.classifier_accuracy,

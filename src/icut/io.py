@@ -182,7 +182,13 @@ def read_dataset_csv(path, num_classes: Optional[int] = None) -> LabeledDataset:
 
 
 def write_embedding_csv(ids: np.ndarray, matrix: np.ndarray, path) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"embedding matrix must be 2-D, got {matrix.ndim}-D")
+    if matrix.shape[1] == 0:
+        raise ValueError("embedding matrix has no columns")
+    if len(ids) != matrix.shape[0]:
+        raise ValueError(f"embedding id count mismatch: {len(ids)} ids for {matrix.shape[0]} rows")
     write_csv(path, ["id", *(f"r{j}" for j in range(matrix.shape[1]))],
               ([str(int(i)), *map(repr, row.tolist())] for i, row in zip(ids, matrix)))
 

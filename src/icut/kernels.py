@@ -22,11 +22,11 @@ clustered rows) is marked again in float64, as is every later block.
 ``_rescore`` ranks either path's candidates by exact squared distances of
 the input rows, in chunks of rows sized from their own candidate counts,
 so that runs of ties keep to the same memory.  It sorts each row by
-distance alone and reads ranks only for the rows with a tie among their
-k + 1 nearest candidates (``_by_rank``); in every other row the k nearest
-lie strictly below the rest, so their order needs no tie-break.  It
-writes each table row once, in the caller's order, through its path's
-scan order.  Both paths thus return one (distance, ascending-rank) table,
+distance alone, and sorts again only the rows with a tie among their
+k + 1 nearest candidates, each whole row by one integer (tie run, rank)
+key (``_by_rank``); in every other row the k nearest lie strictly below
+the rest, so their order needs no tie-break.  It writes each table row
+once, in the caller's order, through its path's scan order.  Both paths thus return one (distance, ascending-rank) table,
 exact under any translation or scale of the features that keeps squared
 distances finite in float64.  Larger inputs (entries from about 1e153
 up) and non-finite ones raise ``ValueError``.  Herding scans every
@@ -55,8 +55,8 @@ BLOCK_ELEMENTS = 2**20
 
 # Candidate slots rescored at once, counted as chunk rows x the chunk's
 # widest row x (m + 4): a candidate's gathered rows take 16 m bytes, and its
-# distance, rank, mask and sort indices about 50 (traced peaks: 57 bytes at
-# m = 1, 512 at m = 32), so at most 16 bytes per element, 8 MB in all.
+# column, distance, sorts, rank and key about 50 (traced peaks, all rows tied:
+# 49 bytes at m = 1, 528 at m = 32), so at most 16 bytes per element, 8 MB.
 RESCORE_ELEMENTS = BLOCK_ELEMENTS // 2
 
 # Pivot groups of the gram path: at most PIVOTS pivots, drawn from a
@@ -84,7 +84,9 @@ OVERFLOW = ("squared distances overflow float64: non-finite representation value
 
 
 def neighbor_table(X: np.ndarray, rank: np.ndarray, k: int):
-    """k smallest (squared distance, rank) pairs per row, self excluded."""
+    """k smallest (squared distance, rank) pairs per row, self excluded.
+
+    ``rank`` is a permutation of 0..n-1, as the key of ``_by_rank`` needs."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     rank = np.ascontiguousarray(rank, dtype=np.int64)
     # Every squared distance is at most S, the sum of squared column spans,
@@ -388,7 +390,7 @@ def _rescore(X, rank, i0, c, counts, pos, d2, names=None):
     by distance alone.  Where its first k + 1 sorted distances are all
     distinct, its k smallest lie strictly below every other candidate's, so
     they are its first k in (distance, rank) order whatever the sort did
-    with equal values.  Only the rows with a tie among those k + 1 go to
+    with equal values.  Rows with a tie among those k + 1 go whole to
     ``_by_rank``.  The first k columns are the row's neighbors, written
     through ``names`` (as in ``_rescore_rows``); their distances are the
     same under either order.
@@ -399,25 +401,20 @@ def _rescore(X, rank, i0, c, counts, pos, d2, names=None):
     filled = np.arange(counts.max()) < counts[:, None]
     dist = np.full(filled.shape, np.inf)
     dist[filled] = np.einsum("ij,ij->i", diff, diff)
-    del diff
-    order = np.argsort(dist, axis=-1)[:, :k + 1]
+    del diff, filled
+    order = np.argsort(dist, axis=-1)
     # take_along_axis through flat indices: 1.2 against 2.0 ms per external table
-    near = dist.take(order + dist.shape[1] * np.arange(counts.size)[:, None])
+    at = dist.shape[1] * np.arange(counts.size)[:, None]
+    near = dist.take(order[:, :k + 1] + at)
     tied = (near[:, 1:] == near[:, :-1]).any(axis=1)
-    if tied.all():
-        # Every row ties (identical or underflowing rows): the whole chunk,
-        # without row-selected copies, once the full argsort is freed.  The
-        # tie-heavy [underflow] test (n = 4000, m = 32, 3-row chunks) took
-        # 2.99 against 3.23 s through the selected rows, the width-1 one
-        # 1.21 against 1.27 s (medians of 10 alternating runs, 2 cores),
-        # whose traced peak is 5.9 against 7.6 MiB.
+    first = (np.cumsum(counts) - counts)[:, None]
+    picks = c.take(first + order[:, :k])
+    if tied.any():
+        order = order[tied]                                # frees the other rows' sorts
+        dist = dist.take(order + at[tied])                 # and the unsorted distances
+        cand = c.take(first[tied] + order, mode="clip")    # padding: any column, ranked last
         del order
-        order = _by_rank(dist, filled, rank[c], k)
-    elif tied.any():
-        keys = rank[c[np.repeat(tied, counts)]]
-        order[tied, :k] = _by_rank(dist[tied], filled[tied], keys, k)
-    first = np.cumsum(counts) - counts
-    picks = c.take(first[:, None] + order[:, :k])
+        picks[tied] = np.take_along_axis(cand, _by_rank(dist, rank[cand], k), axis=1)
     if names is None:
         rows = slice(i0, i0 + counts.size)
     else:
@@ -426,15 +423,17 @@ def _rescore(X, rank, i0, c, counts, pos, d2, names=None):
     d2[rows] = near[:, :k]
 
 
-def _by_rank(dist, filled, keys, k):
-    """The first k columns of each row of ``dist`` in (distance, rank) order.
+def _by_rank(dist, ranks, k):
+    """The first k places of each sorted row of ``dist`` in (distance, rank) order.
 
-    ``keys`` holds the ranks of the ``filled`` slots, row by row.  Padding
-    (+inf) sorts after every candidate whatever its key, so it takes 0.
-    """
-    full = np.zeros(dist.shape, dtype=np.int64)
-    full[filled] = keys
-    return np.lexsort((full, dist), axis=-1)[:, :k]
+    With ``ranks`` in 0..n-1, run * (max rank + 1) + rank, run counting the
+    distance changes along the row, is that order, below n^2 < 2^63.  The +inf
+    padding is the last run, whatever its ranks."""
+    key = np.zeros(dist.shape, dtype=np.int64)
+    np.cumsum(dist[:, 1:] != dist[:, :-1], axis=1, out=key[:, 1:])
+    key *= int(ranks.max()) + 1
+    key += ranks
+    return np.argsort(key, axis=-1)[:, :k]
 
 
 def _sorted_scan(x: np.ndarray, rank: np.ndarray, k: int):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from icut import experiment
-from icut import (CutstatsConfig, ExperimentConfig, MlpConfig, NoiseSpec,
+from icut import (CutstatsConfig, ExperimentConfig, LabeledDataset, MlpConfig, NoiseSpec,
                   StageError, SyntheticSpec, generate_synthetic, run_ablation, run_bounds,
                   run_experiment, run_seed)
 from icut.io import write_dataset_csv, write_embedding_csv
@@ -183,6 +183,19 @@ def test_run_seed_external_embedding_round_trip(tmp_path):
                            noise=NoiseSpec(flip_probability=0.2), seeds=(0,))
     metrics, _ = run_seed(cfg, 0)
     assert metrics.nonabstain_rate == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("num_classes, subsets", [(3, 0), (2, 1)], ids=["multiclass", "binary"])
+def test_run_seed_builds_the_selected_subset_only_where_it_is_read(tmp_path, monkeypatch,
+                                                                    num_classes, subsets):
+    # With no test set, only the binary alpha/gamma rates read the subset.
+    built = _count_calls(monkeypatch, LabeledDataset, ["restrict"])
+    train = tmp_path / "train.csv"
+    write_dataset_csv(random_dataset(60, 3, num_classes=num_classes, seed=6), train)
+    cfg = ExperimentConfig(train_path=str(train), cutstats=CutstatsConfig(k=3, tau=0.5),
+                           noise=NoiseSpec(0.2, num_classes=num_classes), seeds=(0,))
+    metrics, _ = run_seed(cfg, 0)
+    assert built == {"restrict": subsets} and metrics.nonabstain_rate == pytest.approx(0.5)
 
 
 # --- multi-seed reports ---------------------------------------------------------

@@ -86,6 +86,19 @@ def test_dataset_rejects_truth_on_some_rows_only(tmp_path):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("ids,matrix,message", [
+    (range(5), np.zeros((3, 2)), "embedding id count mismatch: 5 ids for 3 rows"),
+    (range(3), np.zeros(3), "embedding matrix must be 2-D, got 1-D"),
+    (range(3), np.zeros((3, 0)), "embedding matrix has no columns"),
+], ids=["ids-past-rows", "vector", "no-columns"])
+def test_embedding_writer_refuses_a_malformed_matrix_and_leaves_no_file(tmp_path, ids, matrix,
+                                                                         message):
+    path = tmp_path / "e.csv"
+    with pytest.raises(ValueError, match=message):
+        write_embedding_csv(np.array(ids), matrix, path)
+    assert not path.exists()
+
+
 def test_embedding_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     ids = np.array([7, 2, 9])
@@ -407,7 +420,7 @@ def test_every_writer_emits_pinned_bytes(tmp_path):
     write_dataset_csv(LabeledDataset(features=features, noisy_labels=noisy, num_classes=3,
                                      ids=ids), tmp_path / "dataset_no_truth.csv")
     write_embedding_csv(ids, -features[:, ::-1], tmp_path / "embedding.csv")
-    write_embedding_csv([-(2**62)], features[1], tmp_path / "embedding_1d.csv")
+    write_embedding_csv([-(2**62)], features[1:2], tmp_path / "embedding_1d.csv")
     write_selection_csv(SelectionResult(scores=features[:, 1], selected=ids[:2]), ids,
                         tmp_path / "scores.csv")
     rows = ((1, -0.0, 1e16, True), (4, 5e-324, -1e-5, False))

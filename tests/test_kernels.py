@@ -143,7 +143,8 @@ def test_tie_heavy_gram_blocks_stay_small_and_exact(kind, monkeypatch):
     # after the first).  At width 1 the underflow makes every row's ties run
     # over the whole input, each run holding several values, so every row
     # proposes all n - 1 others.  Rescoring in chunks keeps the memory bound.
-    # Every distance is 0, so every row is ranked by the rank fallback.
+    # Every distance is 0, so every row goes to the rank fallback, which
+    # sorts its whole row by one (tie run, rank) key.
     rng = np.random.default_rng(10)
     n = 4000
     if kind == "identical":

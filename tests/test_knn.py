@@ -51,6 +51,20 @@ def test_tie_rule_follows_ids_not_row_order():
     assert table.neighbor_rows[0, 0] == 2
 
 
+@pytest.mark.parametrize("m", [1, 3], ids=["width-1", "gram"])
+def test_ties_follow_the_order_of_ids_far_from_row_numbers(m):
+    # Every point is three rows, so every row ties.  The kernels rank by a
+    # key that needs ranks 0..n-1; ids far past int32, or negative, in the
+    # same order as the 0..n-1 ids must give the same table.
+    rng = np.random.default_rng(50 + m)
+    feats = np.repeat(rng.normal(size=(12, m)), 3, axis=0)[rng.permutation(36)]
+    perm = rng.permutation(36)
+    rows = build_neighbor_table(_rep(feats, ids=perm), 5).neighbor_rows
+    assert np.array_equal(rows, oracle_neighbors(feats, perm, 5)[0])
+    for ids in (10**15 + perm, perm - 10**15, 2 * perm - 36):
+        assert np.array_equal(build_neighbor_table(_rep(feats, ids=ids), 5).neighbor_rows, rows)
+
+
 def test_k_bounds_are_enforced():
     rep = _rep([0.0, 1.0, 2.0])
     for k in (0, 3):
